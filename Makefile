@@ -104,6 +104,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseAddr -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzSnapshotUnmarshal -fuzztime=10s ./internal/telemetry/
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault/
+	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s ./internal/ctl/
+	$(GO) test -fuzz=FuzzFailLinkRepair -fuzztime=10s ./internal/routing/
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.

@@ -758,10 +758,9 @@ func BenchmarkFlowEvalBatch(b *testing.B) {
 }
 
 // BenchmarkCtlLoad measures control-plane throughput over real loopback
-// TCP under many concurrent callers — the PR-9 single-request reference
-// path against the batched, multiplexed path (pipelined server, pooled
-// MuxClient connections with write coalescing). Reports aggregate ops/s
-// (higher-is-better, gated by benchjson) and the p99 call latency.
+// TCP under many concurrent callers, one connection per caller. Reports
+// aggregate ops/s (higher-is-better, gated by benchjson) and the p99 call
+// latency.
 func BenchmarkCtlLoad(b *testing.B) {
 	const workers = 64
 	pong := any(json.RawMessage(`"pong"`))
@@ -819,8 +818,6 @@ func BenchmarkCtlLoad(b *testing.B) {
 	}
 
 	b.Run("single", func(b *testing.B) {
-		// Reference path: sequential server, one connection per caller,
-		// one request in flight per connection.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -835,23 +832,5 @@ func BenchmarkCtlLoad(b *testing.B) {
 			defer clients[w].Close()
 		}
 		run(b, func(w int) error { return clients[w].Call("ping", ping, nil) })
-	})
-
-	b.Run("mux", func(b *testing.B) {
-		// Batched path: pipelined server, callers multiplexed over a small
-		// connection pool with coalesced writes.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv := ctl.NewServer(ln, handler)
-		srv.SetPipelining(32)
-		defer srv.Close()
-		pool, err := ctl.DialMuxPool(ln.Addr().String(), 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		run(b, func(int) error { return pool.Call("ping", ping, nil) })
 	})
 }

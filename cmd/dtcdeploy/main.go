@@ -44,8 +44,6 @@ func main() {
 		updates  = flag.Int("updates", 3, "parameter updates per agent")
 		attack   = flag.Bool("attack", true, "launch the attack master")
 		pps      = flag.Float64("pps", 500, "attack rate per ISP world")
-		mux      = flag.Bool("mux", true, "user agents use the batched multiplexed client")
-		pipeline = flag.Int("pipeline", 8, "server per-connection request window")
 		basePort = flag.Int("base-port", 0, "deterministic base port (0 = ephemeral)")
 		logDir   = flag.String("log-dir", "", "per-role log directory (default: temp dir)")
 		hold     = flag.Bool("hold", false, "keep the deployment up after the workload, until interrupted")
@@ -67,8 +65,6 @@ func main() {
 		Updates:      *updates,
 		Attack:       *attack,
 		AttackPPS:    *pps,
-		MuxUsers:     *mux,
-		Pipelining:   *pipeline,
 		BasePort:     *basePort,
 		LogDir:       *logDir,
 		Logf:         log.Printf,

@@ -36,7 +36,6 @@ func main() {
 		limit     = flag.Float64("defense-limit", 100, "mitigation rate limit (packets/s per device)")
 		legit     = flag.Float64("legit", 50, "legitimate background traffic (pps, negative disables)")
 		attack    = flag.Float64("attack", 500, "attack background traffic (pps, negative disables)")
-		pipeline  = flag.Int("pipeline", 8, "per-connection request window on control servers (1 = sequential)")
 	)
 	flag.Parse()
 
@@ -50,7 +49,6 @@ func main() {
 		DefenseLimitPPS: *limit,
 		LegitPPS:        *legit,
 		AttackPPS:       *attack,
-		Pipelining:      *pipeline,
 		Logf:            log.Printf,
 	})
 	if err != nil {

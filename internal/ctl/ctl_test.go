@@ -2,11 +2,14 @@ package ctl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dtc/internal/auth"
 	"dtc/internal/netsim"
@@ -16,6 +19,7 @@ import (
 	"dtc/internal/service"
 	"dtc/internal/sim"
 	"dtc/internal/tcsp"
+	"dtc/internal/telemetry"
 	"dtc/internal/topology"
 )
 
@@ -96,6 +100,182 @@ func TestClientConcurrentCalls(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestServerConcurrencyContract pins what a Server promises: handlers run
+// concurrently across connections and strictly in order within one. Each
+// of K connections pipelines its whole request sequence onto the socket
+// at once. Every connection's first request blocks until all K first
+// requests are inside the handler, which can only happen if connections
+// are served concurrently; every request checks on entry that all earlier
+// requests of its connection have already returned.
+func TestServerConcurrencyContract(t *testing.T) {
+	const conns, perConn = 4, 8
+	var entered atomic.Int32
+	allIn := make(chan struct{})
+	var mu sync.Mutex
+	finished := make(map[int]int) // connection -> requests returned
+	type req struct{ Conn, Seq int }
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, func(method string, payload json.RawMessage) (any, error) {
+		var r req
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		done := finished[r.Conn]
+		mu.Unlock()
+		if done != r.Seq {
+			return nil, fmt.Errorf("conn %d: request %d entered with %d returned", r.Conn, r.Seq, done)
+		}
+		if r.Seq == 0 {
+			if entered.Add(1) == conns {
+				close(allIn)
+			}
+			select {
+			case <-allIn:
+			case <-time.After(10 * time.Second): // failure guard only
+				return nil, errors.New("connections were served one at a time")
+			}
+		}
+		mu.Lock()
+		finished[r.Conn]++
+		mu.Unlock()
+		return r.Seq, nil
+	})
+	defer srv.Shutdown()
+
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(20 * time.Second)) // failure guard only
+			codec := newCodec(conn)
+			for i := 0; i < perConn; i++ {
+				payload, _ := json.Marshal(req{c, i})
+				if err := codec.write(&Envelope{ID: uint64(i + 1), Method: "seq", Payload: payload}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for i := 0; i < perConn; i++ {
+				var resp Envelope
+				if err := codec.readEnvelope(&resp); err != nil {
+					t.Error(err)
+					return
+				}
+				if resp.ID != uint64(i+1) || resp.Error != "" || string(resp.Payload) != fmt.Sprint(i) {
+					t.Errorf("conn %d response %d = id %d %q %s", c, i, resp.ID, resp.Error, resp.Payload)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// countingBackend is a concurrency-safe tcsp.Backend that only counts.
+type countingBackend struct{ deploys, controls atomic.Int64 }
+
+func (b *countingBackend) Deploy(*auth.Certificate, *auth.SignedRequest) (*nms.DeployResult, error) {
+	b.deploys.Add(1)
+	return &nms.DeployResult{}, nil
+}
+
+func (b *countingBackend) Control(*auth.Certificate, *auth.SignedRequest) (*nms.ControlResult, error) {
+	b.controls.Add(1)
+	return &nms.ControlResult{}, nil
+}
+
+// TestTCSPHandlerConcurrentClients drives one TCSPHandler server from many
+// clients at once — register, deploy, control and report on every
+// connection — with no lock around the TCSP: the TCSP must synchronize
+// itself (run under -race).
+func TestTCSPHandlerConcurrentClients(t *testing.T) {
+	const users = 8
+	authority := ownership.NewRegistry()
+	for i := 0; i < users; i++ {
+		if err := authority.Allocate(netsim.NodePrefix(i), ownership.OwnerID(fmt.Sprintf("user%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	caID, _ := auth.NewIdentity("tcsp", seed(4))
+	tc := tcsp.New(caID, authority, func() int64 { return 0 })
+	backend := &countingBackend{}
+	if err := tc.AddISP("isp1", backend); err != nil {
+		t.Fatal(err)
+	}
+	var hookCalls atomic.Int64
+	tc.OnReport(func(string, []*telemetry.Snapshot) { hookCalls.Add(1) })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, TCSPHandler(tc))
+	defer srv.Shutdown()
+
+	var wg sync.WaitGroup
+	for i := 0; i < users; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cl, err := Dial(ln.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			tcl := NewTCSPClient(cl)
+			owner := fmt.Sprintf("user%d", i)
+			prefix := netsim.NodePrefix(i).String()
+			id, _ := auth.NewIdentity(owner, seed(byte(10+i)))
+			cert, err := tcl.Register(id, []string{prefix})
+			if err != nil {
+				t.Errorf("%s register: %v", owner, err)
+				return
+			}
+			body, _ := json.Marshal(&nms.DeployRequest{
+				Owner: owner, Prefixes: []string{prefix},
+				Spec: *service.FirewallDrop("fw", service.MatchSpec{DstPort: 666}),
+			})
+			if _, err := tcl.Deploy(auth.SignRequest(id, cert.Serial, 1, body), nil); err != nil {
+				t.Errorf("%s deploy: %v", owner, err)
+			}
+			body, _ = json.Marshal(&nms.ControlRequest{Owner: owner, Op: "counters", Stage: "dest"})
+			if _, err := tcl.Control(auth.SignRequest(id, cert.Serial, 2, body), nil); err != nil {
+				t.Errorf("%s control: %v", owner, err)
+			}
+			snap := &telemetry.Snapshot{Node: uint32(i), At: 1, Seen: uint64(i)}
+			if err := tcl.Report("isp1", []*telemetry.Snapshot{snap}); err != nil {
+				t.Errorf("%s report: %v", owner, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	serials := make(map[uint64]bool)
+	for i := 0; i < users; i++ {
+		cert, ok := tc.CertificateFor(fmt.Sprintf("user%d", i))
+		if !ok || serials[cert.Serial] {
+			t.Fatalf("user%d: certificate %v, %v (serials must be unique)", i, cert, ok)
+		}
+		serials[cert.Serial] = true
+	}
+	if d, c, h := backend.deploys.Load(), backend.controls.Load(), hookCalls.Load(); d != users || c != users || h != users {
+		t.Errorf("deploys=%d controls=%d report hooks=%d, want %d each", d, c, h, users)
+	}
+	if n := len(tc.Telemetry().Devices()); n != users {
+		t.Errorf("telemetry devices = %d, want %d", n, users)
+	}
 }
 
 // liveWorld runs TCSP and two NMSes as real TCP servers on loopback, with

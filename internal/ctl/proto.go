@@ -7,13 +7,15 @@
 // loopback (the live demo, the multi-process deployment harness, and the
 // F4/F5 protocol benchmarks).
 //
-// Two request paths share the wire format. The sequential path (Client +
-// ServeConn) does one JSON request per round trip and is the compatibility
-// reference. The pipelined path (MuxClient + ServeConnPipelined) keeps
-// many requests in flight per connection, coalesces writes into batched
-// flushes, and multiplexes concurrent streams — the configuration the
-// deployment harness loads with thousands of concurrent users. The two
-// are pinned equivalent by differential tests (mux_test.go).
+// There is one request path: a Client issues one request per round trip,
+// and a Server runs ServeConn on one goroutine per connection, handling
+// that connection's requests strictly in order. Concurrency comes from
+// connections — a caller that wants parallelism opens more of them — so
+// handlers must be safe for concurrent use across connections. There is
+// deliberately no per-connection pipelining or multiplexing: a signed
+// control operation costs an ed25519 verification plus the TCSP and NMS
+// handlers, not wire round trips, and a pipelined, multiplexed path
+// measured slower end to end (DESIGN.md §13, EXPERIMENTS.md E16).
 package ctl
 
 import (
@@ -64,82 +66,20 @@ type codec struct {
 
 	wmu  sync.Mutex
 	wbuf []byte // encode scratch, guarded by wmu
-
-	// Group-flush state. In async mode write() only appends to the bufio
-	// writer and signals the flusher goroutine, which flushes everything
-	// buffered since the last flush in one syscall — requests issued while
-	// a flush is in progress batch into the next one.
-	async    bool
-	dirty    bool
-	wclosed  bool
-	flushErr error
-	wcond    *sync.Cond
-	flusherD chan struct{}
 }
 
 func newCodec(conn net.Conn) *codec {
-	c := &codec{
+	return &codec{
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 64<<10),
 		w:    bufio.NewWriterSize(conn, 64<<10),
 	}
-	c.wcond = sync.NewCond(&c.wmu)
-	return c
 }
 
-// startFlusher switches the codec to coalesced (batched) writes.
-func (c *codec) startFlusher() {
-	c.wmu.Lock()
-	c.async = true
-	c.flusherD = make(chan struct{})
-	c.wmu.Unlock()
-	go c.flushLoop()
-}
-
-// stopFlusher ends async mode and waits for the flusher to exit.
-func (c *codec) stopFlusher() {
-	c.wmu.Lock()
-	c.wclosed = true
-	c.wcond.Signal()
-	done := c.flusherD
-	c.wmu.Unlock()
-	if done != nil {
-		<-done
-	}
-}
-
-func (c *codec) flushLoop() {
-	defer close(c.flusherD)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	for {
-		for !c.dirty && !c.wclosed {
-			c.wcond.Wait()
-		}
-		if c.dirty && c.flushErr == nil {
-			c.dirty = false
-			// Flush holds wmu: writers queue into the next batch as soon
-			// as the buffer drains. On 64 KiB of queued envelopes this is
-			// one syscall instead of dozens.
-			if err := c.w.Flush(); err != nil {
-				c.flushErr = err
-			}
-			continue
-		}
-		if c.wclosed {
-			return
-		}
-	}
-}
-
-// write sends one envelope (newline framed). In async mode it buffers and
-// lets the flusher goroutine batch the syscall.
+// write sends one envelope (newline framed) and flushes it.
 func (c *codec) write(env *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if c.flushErr != nil {
-		return c.flushErr
-	}
 	c.wbuf = appendEnvelope(c.wbuf[:0], env)
 	if len(c.wbuf) > MaxMessageBytes {
 		return fmt.Errorf("ctl: message of %d bytes exceeds limit", len(c.wbuf))
@@ -147,11 +87,6 @@ func (c *codec) write(env *Envelope) error {
 	c.wbuf = append(c.wbuf, '\n')
 	if _, err := c.w.Write(c.wbuf); err != nil {
 		return err
-	}
-	if c.async {
-		c.dirty = true
-		c.wcond.Signal()
-		return nil
 	}
 	return c.w.Flush()
 }
@@ -225,7 +160,7 @@ type StreamFunc func(push func(v any) error) error
 const endOfStream = "ctl: end of stream"
 
 // ServeConn answers requests on conn until it closes, strictly one at a
-// time — the compatibility reference the pipelined path is pinned against.
+// time and in arrival order.
 func ServeConn(conn net.Conn, h Handler) error {
 	c := newCodec(conn)
 	var req Envelope
@@ -239,46 +174,6 @@ func ServeConn(conn net.Conn, h Handler) error {
 		if err := serveOne(c, req.ID, req.Method, req.Payload, h); err != nil {
 			return err
 		}
-	}
-}
-
-// ServeConnPipelined answers requests on conn with up to maxInflight
-// handlers running concurrently; responses are written as each completes
-// (in any order — the envelope ID routes them) through the coalescing
-// flusher. A full inflight window stops the read loop, so back-pressure
-// propagates to the client through TCP instead of unbounded queueing.
-func ServeConnPipelined(conn net.Conn, h Handler, maxInflight int) error {
-	if maxInflight <= 1 {
-		return ServeConn(conn, h)
-	}
-	c := newCodec(conn)
-	c.startFlusher()
-	defer c.stopFlusher()
-	sem := make(chan struct{}, maxInflight)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	var req Envelope
-	for {
-		if err := c.readEnvelope(&req); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-		// The worker outlives this loop iteration; the read buffer does not.
-		var payload json.RawMessage
-		if req.Payload != nil {
-			payload = append(payload, req.Payload...)
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(id uint64, method string, payload json.RawMessage) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// A write error here means the client is gone; the read loop
-			// observes the same failure and ends the connection.
-			_ = serveOne(c, id, method, payload, h)
-		}(req.ID, req.Method, payload)
 	}
 }
 
@@ -344,9 +239,6 @@ type Server struct {
 	mu      sync.Mutex
 	closed  bool
 	conns   map[net.Conn]struct{}
-	// inflight > 1 serves each connection through ServeConnPipelined with
-	// that per-connection concurrency bound; 0/1 keeps the sequential path.
-	inflight int
 }
 
 // NewServer starts serving h on ln in background goroutines.
@@ -355,17 +247,6 @@ func NewServer(ln net.Listener, h Handler) *Server {
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
-}
-
-// SetPipelining allows up to n concurrent in-flight requests per
-// connection (with batched response writes) on connections accepted from
-// now on. n <= 1 restores the sequential reference behaviour. Sequential
-// clients are unaffected either way — they only ever have one request
-// outstanding.
-func (s *Server) SetPipelining(n int) {
-	s.mu.Lock()
-	s.inflight = n
-	s.mu.Unlock()
 }
 
 func (s *Server) acceptLoop() {
@@ -382,7 +263,6 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.conns[conn] = struct{}{}
-		inflight := s.inflight
 		s.mu.Unlock()
 		s.wg.Add(1)
 		go func() {
@@ -393,11 +273,7 @@ func (s *Server) acceptLoop() {
 				delete(s.conns, conn)
 				s.mu.Unlock()
 			}()
-			if inflight > 1 {
-				_ = ServeConnPipelined(conn, s.handler, inflight)
-			} else {
-				_ = ServeConn(conn, s.handler) // connection errors end the session
-			}
+			_ = ServeConn(conn, s.handler) // connection errors end the session
 		}()
 	}
 }

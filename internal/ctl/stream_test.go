@@ -16,11 +16,23 @@ import (
 	"dtc/internal/telemetry"
 )
 
-// streamEcho is a handler serving a "count" stream plus a plain "ping".
+// streamEcho is a handler with every response shape: plain replies
+// ("ping", "echo"), a computed result ("double"), a handler error ("fail"),
+// a "count" stream and a failing stream.
 func streamEcho(method string, payload json.RawMessage) (any, error) {
 	switch method {
 	case "ping":
 		return "pong", nil
+	case "echo":
+		return payload, nil
+	case "double":
+		var n int
+		if err := json.Unmarshal(payload, &n); err != nil {
+			return nil, err
+		}
+		return 2 * n, nil
+	case "fail":
+		return nil, fmt.Errorf("nope: %s", payload)
 	case "count":
 		var n int
 		if err := json.Unmarshal(payload, &n); err != nil {
@@ -43,6 +55,78 @@ func streamEcho(method string, payload json.RawMessage) (any, error) {
 		}), nil
 	default:
 		return nil, fmt.Errorf("unknown method %q", method)
+	}
+}
+
+// TestClientServeConnScript runs one operation script over a single
+// Client/ServeConn TCP connection: every response shape the protocol has,
+// in order, ending with a Call on the same connection after the streams.
+func TestClientServeConnScript(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, streamEcho)
+	defer srv.Shutdown()
+	cl, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	steps := []struct {
+		name    string
+		method  string
+		in      any
+		stream  bool
+		want    string // raw JSON reply, or stream payloads joined by ","
+		wantErr string // "" = success
+	}{
+		{"echo", "echo", "hello", false, `"hello"`, ""},
+		{"computed result", "double", 21, false, `42`, ""},
+		{"handler error", "fail", "reason", false, ``, `remote error: nope: "reason"`},
+		{"unknown method", "missing", nil, false, ``, `remote error: unknown method "missing"`},
+		{"stream", "count", 3, true, `0,1,2`, ""},
+		{"failing stream", "fail-stream", nil, true, `"partial"`, `remote error: stream source broke`},
+		{"call after streams", "echo", "after-stream", false, `"after-stream"`, ""},
+	}
+	for _, st := range steps {
+		var got string
+		if st.stream {
+			got, err = recvAll(cl, st.method, st.in)
+		} else {
+			var raw json.RawMessage
+			err = cl.Call(st.method, st.in, &raw)
+			got = string(raw)
+		}
+		if st.wantErr == "" && err != nil {
+			t.Errorf("%s: unexpected error %v", st.name, err)
+		} else if st.wantErr != "" && (err == nil || !strings.Contains(err.Error(), st.wantErr)) {
+			t.Errorf("%s: error %v, want %q", st.name, err, st.wantErr)
+		}
+		if got != st.want {
+			t.Errorf("%s: got %s, want %s", st.name, got, st.want)
+		}
+	}
+}
+
+// recvAll subscribes and drains the stream, returning its payloads joined
+// by commas and the error that ended it (nil for a clean end).
+func recvAll(cl *Client, method string, in any) (string, error) {
+	st, err := cl.Subscribe(method, in)
+	if err != nil {
+		return "", err
+	}
+	var items []string
+	for {
+		var raw json.RawMessage
+		if err := st.Recv(&raw); err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return strings.Join(items, ","), err
+		}
+		items = append(items, string(raw))
 	}
 }
 

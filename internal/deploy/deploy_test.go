@@ -107,27 +107,6 @@ func TestDeploySmoke(t *testing.T) {
 	teardownClean(t, d)
 }
 
-// TestDeployMuxUsers runs the same deployment with the batched,
-// multiplexed client path — the E16 comparison arm — and requires the
-// identical workload outcome.
-func TestDeployMuxUsers(t *testing.T) {
-	spec := testSpec(t)
-	spec.MuxUsers = true
-	d, err := Launch(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Teardown()
-
-	res, err := d.WaitUserStats(60 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("load result (mux):\n%s", res)
-	checkLoad(t, d.Spec, res)
-	teardownClean(t, d)
-}
-
 // TestDeployPortCollision pins the port re-draw: when the deterministic
 // base port is already taken, the child falls back to an ephemeral port
 // and the deployment still comes up on the published address.
@@ -180,7 +159,6 @@ func TestDeployFullScale(t *testing.T) {
 		Updates:      3,
 		Attack:       true,
 		AttackPPS:    500,
-		MuxUsers:     true,
 		Exe:          os.Args[0],
 		LogDir:       t.TempDir(),
 		Logf:         t.Logf,

@@ -59,8 +59,6 @@ type Spec struct {
 	Seed        uint64 // ISP data-plane seed (default 1)
 	TelemetryMS int    // NMS snapshot/report cadence, wall ms (default 200)
 	IngestCap   int    // TCSP telemetry ingest queue capacity (default 256)
-	Pipelining  int    // per-connection server inflight window (default 8)
-	MuxUsers    bool   // user agents use the multiplexed client
 
 	LogDir string // per-role log files; "" creates a temp dir
 
@@ -102,9 +100,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.IngestCap <= 0 {
 		s.IngestCap = 256
-	}
-	if s.Pipelining <= 0 {
-		s.Pipelining = 8
 	}
 	if s.ReadyTimeout <= 0 {
 		s.ReadyTimeout = 30 * time.Second
@@ -289,7 +284,6 @@ func Launch(spec Spec) (*Deployment, error) {
 		"DTC_LISTEN=" + spec.listenEnv(0),
 		fmt.Sprintf("DTC_MAX_USERS=%d", maxUsers),
 		fmt.Sprintf("DTC_INGEST_CAP=%d", spec.IngestCap),
-		fmt.Sprintf("DTC_PIPELINE=%d", spec.Pipelining),
 	})
 	if err != nil {
 		return nil, err
@@ -319,7 +313,6 @@ func Launch(spec Spec) (*Deployment, error) {
 			fmt.Sprintf("DTC_NODES_PER_ISP=%d", spec.NodesPerISP),
 			fmt.Sprintf("DTC_SEED=%d", spec.Seed),
 			fmt.Sprintf("DTC_TELEMETRY_MS=%d", spec.TelemetryMS),
-			fmt.Sprintf("DTC_PIPELINE=%d", spec.Pipelining),
 			"DTC_TCSP_ADDR=" + tcsp.Addr,
 			"DTC_TCSP_PUBKEY=" + pubkey,
 		})
@@ -357,10 +350,6 @@ func Launch(spec Spec) (*Deployment, error) {
 
 	for i := 0; i < spec.UserProcs; i++ {
 		name := fmt.Sprintf("users%d", i)
-		mux := "0"
-		if spec.MuxUsers {
-			mux = "1"
-		}
 		p, err := spec.launchProc("user", name, filepath.Join(logDir, name+".log"), []string{
 			"DTC_DEPLOY_ROLE=user",
 			"DTC_TCSP_ADDR=" + tcsp.Addr,
@@ -368,7 +357,6 @@ func Launch(spec Spec) (*Deployment, error) {
 			fmt.Sprintf("DTC_USER_OFFSET=%d", i*spec.UsersPerProc),
 			fmt.Sprintf("DTC_UPDATES=%d", spec.Updates),
 			fmt.Sprintf("DTC_ISPS=%d", spec.ISPs),
-			"DTC_USER_MUX=" + mux,
 		})
 		if err != nil {
 			return nil, err

@@ -200,15 +200,14 @@ type tcspStats struct {
 }
 
 // runTCSP is the service-provider role: the certificate authority, the
-// deployment relay, and the telemetry sink, serving the pipelined wire
-// protocol. Telemetry ingest is decoupled from the TCSP lock by a bounded
-// drop-oldest queue: the handler validates and enqueues, a single drain
-// goroutine applies — so a burst of ISP reports back-pressures by shedding
-// the oldest batch instead of stalling the deploy path.
+// deployment relay, and the telemetry sink. Telemetry ingest is decoupled
+// from the deploy path by a bounded drop-oldest queue: the handler
+// validates and enqueues, a single drain goroutine applies — so a burst of
+// ISP reports back-pressures by shedding the oldest batch instead of
+// stalling deploys.
 func runTCSP() error {
 	maxUsers := envInt("DTC_MAX_USERS", 0)
 	ingestCap := envInt("DTC_INGEST_CAP", 256)
-	pipeline := envInt("DTC_PIPELINE", 8)
 
 	authority := ownership.NewRegistry()
 	for i := 0; i < maxUsers; i++ {
@@ -222,9 +221,6 @@ func runTCSP() error {
 	}
 	tc := tcsp.New(caID, authority, wallClock)
 
-	// The TCSP core is not concurrency-safe; the pipelined server is. One
-	// mutex serializes core access, exactly as internal/live does.
-	var mu sync.Mutex
 	var registers, deploys, controls, reports, watches metrics.AtomicCounter
 
 	type reportBatch struct {
@@ -245,10 +241,8 @@ func runTCSP() error {
 					return
 				}
 			}
-			mu.Lock()
 			err := tc.Report(batch.isp, batch.snaps)
 			devices := len(tc.Telemetry().Devices())
-			mu.Unlock()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "report %s: %v\n", batch.isp, err)
 				continue
@@ -290,10 +284,7 @@ func runTCSP() error {
 			if err != nil {
 				return nil, fmt.Errorf("addisp %s: %w", p.Name, err)
 			}
-			mu.Lock()
-			err = tc.AddISP(p.Name, ctl.NewNMSClient(cl))
-			mu.Unlock()
-			if err != nil {
+			if err := tc.AddISP(p.Name, ctl.NewNMSClient(cl)); err != nil {
 				cl.Close()
 				return nil, err
 			}
@@ -322,8 +313,6 @@ func runTCSP() error {
 			case "control":
 				controls.Inc()
 			}
-			mu.Lock()
-			defer mu.Unlock()
 			return base(method, payload)
 		}
 	}
@@ -333,7 +322,6 @@ func runTCSP() error {
 		return err
 	}
 	srv := ctl.NewServer(ln, handler)
-	srv.SetPipelining(pipeline)
 	defer srv.Close()
 
 	pub := base64.StdEncoding.EncodeToString(caID.Pub)
@@ -387,7 +375,6 @@ func runNMS() error {
 	nodesN := envInt("DTC_NODES_PER_ISP", 4)
 	seed := uint64(envInt("DTC_SEED", 1))
 	telemetryMS := envInt("DTC_TELEMETRY_MS", 200)
-	pipeline := envInt("DTC_PIPELINE", 8)
 	tcspAddr := envStr("DTC_TCSP_ADDR", "")
 	pub, err := base64.StdEncoding.DecodeString(envStr("DTC_TCSP_PUBKEY", ""))
 	if err != nil || len(pub) == 0 {
@@ -517,7 +504,6 @@ func runNMS() error {
 		return err
 	}
 	srv := ctl.NewServer(ln, handler)
-	srv.SetPipelining(pipeline)
 	defer srv.Close()
 
 	printReady("role=nms", "name="+name, "addr="+ln.Addr().String())
@@ -552,58 +538,6 @@ func runAttack() error {
 	return nil
 }
 
-// caller abstracts the sequential Client and the multiplexed MuxClient so
-// one agent script drives both — the differential surface E16 measures.
-type caller interface {
-	Call(method string, in, out any) error
-}
-
-// recvStream abstracts ctl.Stream and ctl.MuxStream.
-type recvStream interface {
-	Recv(out any) error
-}
-
-// agentConn is one user agent's connection handle.
-type agentConn struct {
-	call      caller
-	subscribe func(method string, in any) (recvStream, error)
-	close     func() error
-}
-
-func dialAgent(addr string, mux bool) (*agentConn, error) {
-	if mux {
-		var mc *ctl.MuxClient
-		var err error
-		for attempt := 0; attempt < 10; attempt++ {
-			if mc, err = ctl.DialMux(addr); err == nil {
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &agentConn{
-			call: mc,
-			subscribe: func(method string, in any) (recvStream, error) {
-				return mc.Subscribe(method, in, 16)
-			},
-			close: mc.Close,
-		}, nil
-	}
-	cl, err := ctl.DialRetry(addr, 10, 50*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	return &agentConn{
-		call: cl,
-		subscribe: func(method string, in any) (recvStream, error) {
-			return cl.Subscribe(method, in)
-		},
-		close: cl.Close,
-	}, nil
-}
-
 // runUser hosts a fleet of user agents, each with its own control
 // connection: dial and hold (readiness = every agent connected), then on
 // the shared start signal run the scripted workload — register, install,
@@ -616,10 +550,9 @@ func runUser() error {
 	offset := envInt("DTC_USER_OFFSET", 0)
 	updates := envInt("DTC_UPDATES", 2)
 	isps := envInt("DTC_ISPS", 2)
-	mux := envStr("DTC_USER_MUX", "0") == "1"
 
 	recs := make([]*Recorder, users)
-	conns := make([]*agentConn, users)
+	conns := make([]*ctl.Client, users)
 	errs := make([]error, users)
 	var dialWG, opsWG sync.WaitGroup
 	opsStart := make(chan struct{})
@@ -629,7 +562,7 @@ func runUser() error {
 		opsWG.Add(1)
 		go func(a int) {
 			defer opsWG.Done()
-			conn, err := dialAgent(tcspAddr, mux)
+			conn, err := ctl.DialRetry(tcspAddr, 10, 50*time.Millisecond)
 			if err != nil {
 				errs[a] = err
 				dialWG.Done()
@@ -673,14 +606,14 @@ func runUser() error {
 	waitStdinEOF()
 	for _, c := range conns {
 		if c != nil {
-			c.close()
+			c.Close()
 		}
 	}
 	return nil
 }
 
 // runAgent is one user's scripted control-plane session.
-func runAgent(conn *agentConn, i, isps, updates int, rec *Recorder) error {
+func runAgent(conn *ctl.Client, i, isps, updates int, rec *Recorder) error {
 	owner := UserOwner(i)
 	seed := sha256.Sum256([]byte(owner))
 	id, err := auth.NewIdentity(owner, seed[:])
@@ -694,7 +627,7 @@ func runAgent(conn *agentConn, i, isps, updates int, rec *Recorder) error {
 	var cert auth.Certificate
 	sig := id.Sign(tcsp.RegistrationBytes(id.Name, id.Pub, []string{prefix}))
 	t0 := time.Now()
-	err = conn.call.Call("register", &ctl.RegisterParams{
+	err = conn.Call("register", &ctl.RegisterParams{
 		User: owner, PublicKey: id.Pub, Prefixes: []string{prefix}, Signature: sig,
 	}, &cert)
 	rec.Record("register", time.Since(t0), err)
@@ -723,7 +656,7 @@ func runAgent(conn *agentConn, i, isps, updates int, rec *Recorder) error {
 	}
 	var deployRes []*nms.DeployResult
 	t0 = time.Now()
-	err = conn.call.Call("deploy", &ctl.DeployParams{Signed: signed, ISPs: []string{ispName}}, &deployRes)
+	err = conn.Call("deploy", &ctl.DeployParams{Signed: signed, ISPs: []string{ispName}}, &deployRes)
 	rec.Record("install", time.Since(t0), err)
 	if err != nil {
 		return fmt.Errorf("deploy: %w", err)
@@ -741,7 +674,7 @@ func runAgent(conn *agentConn, i, isps, updates int, rec *Recorder) error {
 		}
 		var ctlRes []*nms.ControlResult
 		t0 = time.Now()
-		err = conn.call.Call("control", &ctl.ControlParams{Signed: signed, ISPs: []string{ispName}}, &ctlRes)
+		err = conn.Call("control", &ctl.ControlParams{Signed: signed, ISPs: []string{ispName}}, &ctlRes)
 		rec.Record("update", time.Since(t0), err)
 		if err != nil {
 			return fmt.Errorf("update %d: %w", k, err)
@@ -750,13 +683,13 @@ func runAgent(conn *agentConn, i, isps, updates int, rec *Recorder) error {
 
 	// Subscribe: one telemetry frame, measuring time-to-first-update.
 	t0 = time.Now()
-	st, err := conn.subscribe("watch", &WatchParams{Count: 1})
+	st, err := conn.Subscribe("watch", &WatchParams{Count: 1})
 	if err == nil {
 		var u WatchUpdate
 		err = st.Recv(&u)
 		if err == nil {
-			// Drain the clean end-of-stream so sequential connections
-			// return to the ready state.
+			// Drain the clean end-of-stream so the connection returns to
+			// the ready state.
 			for {
 				var tmp WatchUpdate
 				if e := st.Recv(&tmp); e != nil {

@@ -60,11 +60,6 @@ type Config struct {
 	// block (defaults 50 and 500; negative disables).
 	LegitPPS  float64
 	AttackPPS float64
-	// Pipelining is the per-connection request window on the TCSP and NMS
-	// servers: up to this many requests from one connection are dispatched
-	// concurrently, with responses routed back by envelope ID (default 8;
-	// 1 selects the sequential reference path).
-	Pipelining int
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -91,9 +86,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.LegitPPS == 0 {
 		out.LegitPPS = 50
-	}
-	if out.Pipelining <= 0 {
-		out.Pipelining = 8
 	}
 	if out.AttackPPS == 0 {
 		out.AttackPPS = 500
@@ -328,7 +320,6 @@ func (s *Server) build() error {
 		}
 		h := locked(ctl.NMSHandler(m))
 		nmsSrv := ctl.NewServer(ln, h)
-		nmsSrv.SetPipelining(s.cfg.Pipelining)
 		s.nmsSrvs = append(s.nmsSrvs, nmsSrv)
 		s.nmsAddrs = append(s.nmsAddrs, ln.Addr().String())
 		s.nmsHandlers = append(s.nmsHandlers, h)
@@ -412,7 +403,6 @@ func (s *Server) build() error {
 		return err
 	}
 	s.tcspSrv = ctl.NewServer(ln, s.handler(locked(ctl.TCSPHandler(tc))))
-	s.tcspSrv.SetPipelining(s.cfg.Pipelining)
 	s.cfg.Logf("TCSP listening on %s", ln.Addr())
 	s.cfg.Logf("demo user owns %v", victimPfx)
 
@@ -583,7 +573,6 @@ func (s *Server) RestartNMS(i int) error {
 		return err
 	}
 	restarted := ctl.NewServer(ln, h)
-	restarted.SetPipelining(s.cfg.Pipelining)
 	s.mu.Lock()
 	s.nmsSrvs[i] = restarted
 	s.mu.Unlock()

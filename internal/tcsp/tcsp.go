@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"dtc/internal/auth"
 	"dtc/internal/nms"
@@ -38,22 +39,27 @@ type Backend interface {
 // DefaultCertTTL is the certificate lifetime in seconds.
 const DefaultCertTTL = 365 * 24 * 3600
 
-// TCSP is the traffic control service provider.
+// TCSP is the traffic control service provider. It is safe for concurrent
+// use: a server may call it from one goroutine per connection.
 type TCSP struct {
 	id        *auth.Identity
 	authority *ownership.Registry
 	clock     func() int64
+	store     *telemetry.Store
 
 	CertTTL int64
 
-	isps    map[string]Backend
-	ispList []string
-	certs   map[uint64]*auth.Certificate
-	byOwner map[string]uint64
-	revoked map[uint64]bool
-	serial  uint64
-
-	store    *telemetry.Store
+	// mu guards the fields below. It is never held across a backend call,
+	// an onReport hook or an ed25519 sign or verify, so backends and hooks
+	// may call back into the TCSP and users' signatures are checked in
+	// parallel.
+	mu       sync.Mutex
+	isps     map[string]Backend
+	ispList  []string
+	certs    map[uint64]*auth.Certificate
+	byOwner  map[string]uint64
+	revoked  map[uint64]bool
+	serial   uint64
 	onReport []func(isp string, snaps []*telemetry.Snapshot)
 }
 
@@ -78,6 +84,8 @@ func (t *TCSP) Telemetry() *telemetry.Store { return t.store }
 // OnReport registers a hook invoked after each telemetry report is
 // ingested — the defense controller's entry point.
 func (t *TCSP) OnReport(fn func(isp string, snaps []*telemetry.Snapshot)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.onReport = append(t.onReport, fn)
 }
 
@@ -85,13 +93,17 @@ func (t *TCSP) OnReport(fn func(isp string, snaps []*telemetry.Snapshot)) {
 // ISP must be a registered participant; snapshots from strangers are
 // rejected rather than silently aggregated.
 func (t *TCSP) Report(isp string, snaps []*telemetry.Snapshot) error {
-	if _, ok := t.isps[isp]; !ok {
+	t.mu.Lock()
+	_, ok := t.isps[isp]
+	hooks := t.onReport
+	t.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("tcsp: telemetry report from unknown ISP %q", isp)
 	}
 	for _, s := range snaps {
 		t.store.Ingest(isp, s)
 	}
-	for _, fn := range t.onReport {
+	for _, fn := range hooks {
 		fn(isp, snaps)
 	}
 	return nil
@@ -106,6 +118,8 @@ func (t *TCSP) AddISP(name string, b Backend) error {
 	if name == "" || b == nil {
 		return fmt.Errorf("tcsp: invalid ISP registration")
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, dup := t.isps[name]; dup {
 		return fmt.Errorf("tcsp: ISP %q already registered", name)
 	}
@@ -116,7 +130,11 @@ func (t *TCSP) AddISP(name string, b Backend) error {
 }
 
 // ISPs returns the names of participating ISPs.
-func (t *TCSP) ISPs() []string { return append([]string(nil), t.ispList...) }
+func (t *TCSP) ISPs() []string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]string(nil), t.ispList...)
+}
 
 // RegistrationBytes is the canonical byte string a user signs to prove key
 // possession during registration.
@@ -161,20 +179,29 @@ func (t *TCSP) Register(user string, pub ed25519.PublicKey, prefixes []string, s
 		}
 		parsed = append(parsed, p)
 	}
+	t.mu.Lock()
 	t.serial++
+	serial := t.serial
+	t.mu.Unlock()
 	now := t.clock()
 	subject := &auth.Identity{Name: user, Pub: pub}
-	cert, err := auth.IssueCertificate(t.id, subject, parsed, t.serial, now, now+t.CertTTL)
+	cert, err := auth.IssueCertificate(t.id, subject, parsed, serial, now, now+t.CertTTL)
 	if err != nil {
 		return nil, err
 	}
-	t.certs[cert.Serial] = cert
-	t.byOwner[user] = cert.Serial
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.certs[serial] = cert
+	if serial > t.byOwner[user] { // concurrent registrations: latest serial wins
+		t.byOwner[user] = serial
+	}
 	return cert, nil
 }
 
 // CertificateFor returns the latest certificate issued to owner.
 func (t *TCSP) CertificateFor(owner string) (*auth.Certificate, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	s, ok := t.byOwner[owner]
 	if !ok {
 		return nil, false
@@ -184,12 +211,15 @@ func (t *TCSP) CertificateFor(owner string) (*auth.Certificate, bool) {
 
 // lookupCert resolves the signed request's certificate serial. Users do
 // not resend the full certificate on every request; the TCSP issued it and
-// keeps it.
+// keeps it. The signature checks run outside the lock.
 func (t *TCSP) lookupCert(sreq *auth.SignedRequest) (*auth.Certificate, error) {
-	if t.revoked[sreq.CertSerial] {
+	t.mu.Lock()
+	revoked := t.revoked[sreq.CertSerial]
+	cert, ok := t.certs[sreq.CertSerial]
+	t.mu.Unlock()
+	if revoked {
 		return nil, fmt.Errorf("tcsp: certificate serial %d has been revoked", sreq.CertSerial)
 	}
-	cert, ok := t.certs[sreq.CertSerial]
 	if !ok {
 		return nil, fmt.Errorf("tcsp: unknown certificate serial %d", sreq.CertSerial)
 	}
@@ -208,6 +238,8 @@ func (t *TCSP) lookupCert(sreq *auth.SignedRequest) (*auth.Certificate, error) {
 // accept direct requests learn of it when they next sync — the same
 // freshness trade-off real CAs make.
 func (t *TCSP) Revoke(serial uint64) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if _, ok := t.certs[serial]; !ok {
 		return fmt.Errorf("tcsp: unknown certificate serial %d", serial)
 	}
@@ -216,19 +248,29 @@ func (t *TCSP) Revoke(serial uint64) error {
 }
 
 // Revoked reports whether a serial has been revoked.
-func (t *TCSP) Revoked(serial uint64) bool { return t.revoked[serial] }
+func (t *TCSP) Revoked(serial uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.revoked[serial]
+}
 
-// selectISPs resolves an ISP name list (empty = all).
-func (t *TCSP) selectISPs(names []string) ([]string, error) {
+// selectISPs resolves an ISP name list (empty = all) to the names and
+// their backends, so callers can reach the backends without the lock.
+func (t *TCSP) selectISPs(names []string) ([]string, []Backend, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(names) == 0 {
-		return t.ispList, nil
+		names = append([]string(nil), t.ispList...)
 	}
-	for _, n := range names {
-		if _, ok := t.isps[n]; !ok {
-			return nil, fmt.Errorf("tcsp: unknown ISP %q", n)
+	backends := make([]Backend, len(names))
+	for i, n := range names {
+		b, ok := t.isps[n]
+		if !ok {
+			return nil, nil, fmt.Errorf("tcsp: unknown ISP %q", n)
 		}
+		backends[i] = b
 	}
-	return names, nil
+	return names, backends, nil
 }
 
 // Deploy implements Figure 5: verify the request once, then instruct each
@@ -239,15 +281,15 @@ func (t *TCSP) Deploy(sreq *auth.SignedRequest, isps []string) ([]*nms.DeployRes
 	if err != nil {
 		return nil, err
 	}
-	selected, err := t.selectISPs(isps)
+	names, backends, err := t.selectISPs(isps)
 	if err != nil {
 		return nil, err
 	}
 	var results []*nms.DeployResult
-	for _, name := range selected {
-		r, err := t.isps[name].Deploy(cert, sreq)
+	for i, b := range backends {
+		r, err := b.Deploy(cert, sreq)
 		if err != nil {
-			return results, fmt.Errorf("tcsp: ISP %q: %w", name, err)
+			return results, fmt.Errorf("tcsp: ISP %q: %w", names[i], err)
 		}
 		results = append(results, r)
 	}
@@ -260,15 +302,15 @@ func (t *TCSP) Control(sreq *auth.SignedRequest, isps []string) ([]*nms.ControlR
 	if err != nil {
 		return nil, err
 	}
-	selected, err := t.selectISPs(isps)
+	names, backends, err := t.selectISPs(isps)
 	if err != nil {
 		return nil, err
 	}
 	var results []*nms.ControlResult
-	for _, name := range selected {
-		r, err := t.isps[name].Control(cert, sreq)
+	for i, b := range backends {
+		r, err := b.Control(cert, sreq)
 		if err != nil {
-			return results, fmt.Errorf("tcsp: ISP %q: %w", name, err)
+			return results, fmt.Errorf("tcsp: ISP %q: %w", names[i], err)
 		}
 		results = append(results, r)
 	}
