@@ -18,7 +18,7 @@ func init() {
 
 // e15Aux is the per-substrate precomputation every sweep point reads: the
 // sealed SoA client table (shared, immutable — this is the memory story:
-// one ~19 B/client table serves every point and worker), the cast of the
+// one ~20 B/client table serves every point and worker), the cast of the
 // scenario and the deployment ranking.
 type e15Aux struct {
 	clients    *hybrid.Clients

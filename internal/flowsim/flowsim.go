@@ -49,9 +49,10 @@ type Result struct {
 }
 
 // Routes is the routing state the flow model reads: per-destination trees
-// and the reverse-path feasibility check. Both *routing.Table (private,
-// single goroutine) and *routing.Shared (one Dijkstra cache serving many
-// concurrent models) satisfy it.
+// and the reverse-path feasibility check (consulted for spoofed sources
+// only). Both *routing.Table (private, single goroutine) and
+// *routing.Shared (one Dijkstra cache serving many concurrent models)
+// satisfy it.
 type Routes interface {
 	TreeTo(dst int) (*routing.Tree, error)
 	FeasibleIngress(at, from, src int) bool
@@ -118,8 +119,16 @@ func (m *Model) Reset() {
 // filterDrops reports whether a deployed filter at `at` drops a packet of
 // flow f arriving from `prev` (prev == at means locally originated).
 // The decision mirrors modules.AntiSpoof + nms.uRPF exactly.
+//
+// A genuine source is never dropped, so its walk never consults
+// FeasibleIngress (nor builds the tree toward f.From that the check would
+// read). Every walk follows a shortest path from f.From, and with
+// symmetric weights each hop of a shortest path from f.From is on some
+// shortest path from f.From to that hop: route-based filtering has no
+// false positives (Park & Lee). TestPropertyGenuineWalksPassEveryFilter
+// keeps the per-hop check as the oracle.
 func (m *Model) filterDrops(f *Flow, at, prev int) bool {
-	if !m.deployed[at] {
+	if !m.deployed[at] || f.Src == SrcGenuine {
 		return false
 	}
 	local := prev == at
@@ -129,11 +138,6 @@ func (m *Model) filterDrops(f *Flow, at, prev int) bool {
 	switch f.Src {
 	case SrcUnallocated:
 		return true // no feasible origin anywhere
-	case SrcGenuine:
-		if local {
-			return false
-		}
-		return !m.tbl.FeasibleIngress(at, prev, f.From)
 	case SrcOfNode:
 		if local {
 			return f.SpoofNode != f.From
@@ -178,8 +182,8 @@ func (m *Model) Route(f *Flow) (Result, error) {
 // Unlike Evaluate/EvalBatch, FateFrom touches no Model scratch: when the
 // Model reads a concurrency-safe Routes (routing.Shared) and the
 // deployment is frozen, concurrent FateFrom calls are safe. The hybrid
-// substrate leans on this to evaluate fluid prefixes and continuations
-// from inside sharded packet workers.
+// substrate uses it to evaluate clients' fluid prefixes and background
+// flows.
 func (m *Model) FateFrom(tr *routing.Tree, f *Flow, at, prev int) Result {
 	n := len(tr.Next)
 	if at < 0 || at >= n || (at != tr.Dst && tr.Next[at] == routing.NoRoute) {

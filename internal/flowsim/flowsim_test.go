@@ -364,3 +364,123 @@ func TestCrossValidationOnTransitStub(t *testing.T) {
 		}
 	}
 }
+
+// genuineDropsOracle is the reverse-path check the flow model applied to
+// genuine sources before their walks were short-cut: a deployed filter at
+// `at` (strict, or edge-only and facing a non-transit neighbor) drops a
+// packet arriving from prev unless prev lies on a shortest path from the
+// flow's origin. The second result reports whether FeasibleIngress was
+// consulted at all.
+func genuineDropsOracle(g *topology.Graph, routes flowsim.Routes, deployed, strict []bool, f *flowsim.Flow, at, prev int) (drop, probed bool) {
+	if !deployed[at] || prev == at {
+		return false, false
+	}
+	if !strict[at] && g.Nodes[prev].Role == topology.RoleTransit {
+		return false, false
+	}
+	return !routes.FeasibleIngress(at, prev, f.From), true
+}
+
+// TestPropertyGenuineWalksPassEveryFilter is the oracle for the model's
+// genuine-source shortcut (Park & Lee's no-false-positive property of
+// route-based filtering): on random power-law and hierarchical graphs,
+// hop-count and symmetric integer weights, random mixes of strict and
+// edge-only filters, before and after LinkDown repair, the old per-hop
+// FeasibleIngress check passes every hop of every genuine walk, and the
+// model delivers every genuine flow.
+func TestPropertyGenuineWalksPassEveryFilter(t *testing.T) {
+	intWeight := func(a, b int) float64 {
+		if a > b {
+			a, b = b, a
+		}
+		return float64(1 + (uint64(a)*2654435761+uint64(b)*40503)%3)
+	}
+	graphs := map[string]func(*sim.RNG) (*topology.Graph, error){
+		"power-law":    func(r *sim.RNG) (*topology.Graph, error) { return topology.BarabasiAlbert(150, 2, r) },
+		"hierarchical": func(r *sim.RNG) (*topology.Graph, error) { return topology.TransitStub(8, 12, 0.4, r) },
+	}
+	probed := 0
+	for name, build := range graphs {
+		for seed := uint64(0); seed < 4; seed++ {
+			rng := sim.NewRNG(seed + 31)
+			g, err := build(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w routing.WeightFunc
+			if seed%2 == 1 {
+				w = intWeight
+			}
+			var routes routing.Source = routing.NewShared(g, w)
+			if seed >= 2 {
+				routes = routing.NewTable(g, w)
+			}
+			m := flowsim.NewOnRoutes(g, routes)
+			deployed, strict := make([]bool, g.Len()), make([]bool, g.Len())
+			var edgeOnly, strictNodes []int
+			for v := 0; v < g.Len(); v++ {
+				if rng.Float64() < 0.5 {
+					deployed[v] = true
+					if strict[v] = rng.Float64() < 0.5; strict[v] {
+						strictNodes = append(strictNodes, v)
+					} else {
+						edgeOnly = append(edgeOnly, v)
+					}
+				}
+			}
+			if err := m.Deploy(strictNodes, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Deploy(edgeOnly, false); err != nil {
+				t.Fatal(err)
+			}
+			check := func(stage string) {
+				for k := 0; k < 150; k++ {
+					f := flowsim.Flow{From: rng.Intn(g.Len()), To: rng.Intn(g.Len()), Rate: 1, Size: 100, Src: flowsim.SrcGenuine}
+					tr, err := routes.TreeTo(f.To)
+					if err != nil {
+						t.Fatal(err)
+					}
+					path := tr.Path(f.From)
+					if path == nil {
+						continue // disconnected by the cuts
+					}
+					for i := 1; i < len(path); i++ {
+						drop, p := genuineDropsOracle(g, routes, deployed, strict, &f, path[i], path[i-1])
+						if p {
+							probed++
+						}
+						if drop {
+							t.Fatalf("%s seed %d %s: genuine flow %d->%d fails the reverse-path check at hop %d (%d from %d)",
+								name, seed, stage, f.From, f.To, i, path[i], path[i-1])
+						}
+					}
+					if r, err := m.Route(&f); err != nil || !r.Delivered {
+						t.Fatalf("%s seed %d %s: genuine flow %d->%d not delivered: %+v %v", name, seed, stage, f.From, f.To, r, err)
+					}
+				}
+			}
+			check("before cuts")
+			for c := 0; c < 4; c++ {
+				tr, err := routes.TreeTo(rng.Intn(g.Len()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := rng.Intn(g.Len())
+				if v == tr.Dst || tr.Next[v] == routing.NoRoute {
+					continue
+				}
+				u := int(tr.Next[v])
+				g.RemoveEdge(v, u)
+				routes.LinkDown(v, u)
+				check(fmt.Sprintf("after cutting (%d,%d)", v, u))
+			}
+			if routes.Stats().Repairs == 0 {
+				t.Errorf("%s seed %d: no cut repaired a cached tree", name, seed)
+			}
+		}
+	}
+	if probed == 0 {
+		t.Fatal("no walk reached a filter that consults FeasibleIngress")
+	}
+}

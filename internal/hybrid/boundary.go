@@ -1,7 +1,6 @@
 package hybrid
 
 import (
-	"dtc/internal/flowsim"
 	"dtc/internal/netsim"
 	"dtc/internal/packet"
 	"dtc/internal/routing"
@@ -165,24 +164,20 @@ func (in *Injector) fix(i int) {
 
 // Absorber is the packet->fluid boundary converter: a hook on an
 // out-of-cone shell node that terminates packets leaving the cone,
-// aggregates them back into flow-level accounting, and recycles them. The
-// onward fate of each absorbed packet — it still has an out-of-cone fluid
-// path to its destination — is settled analytically with the fluid
-// model's filter walk, so a filter deployed beyond the cone drops exactly
-// the traffic it would have dropped at packet level.
+// aggregates them back into flow-level accounting, and recycles them.
+// Every absorbed packet is delivered. It left the cone along its
+// destination's shortest-path tree, so its fluid continuation is the rest
+// of that shortest path, and it carries its sender's genuine address (the
+// cone's exiting traffic is replies). Such traffic passes every
+// route-based filter on the way: the no-false-positive property of Park &
+// Lee's route-based filtering (DESIGN.md §12). Its onward fate is
+// therefore reachability, which the path itself proves.
 type Absorber struct {
-	w    *World
-	node int
+	w *World
 
-	flow flowsim.Flow // scratch: reused per absorbed packet
-
-	// DeliveredPkts/DeliveredBytes count absorbed packets whose fluid
-	// continuation reaches its destination, by kind; Filtered* count
-	// those an out-of-cone filter would have dropped.
+	// DeliveredPkts/DeliveredBytes count absorbed packets by kind.
 	DeliveredPkts  [5]uint64
 	DeliveredBytes [5]uint64
-	FilteredPkts   [5]uint64
-	FilteredBytes  [5]uint64
 }
 
 // Name implements netsim.Hook.
@@ -200,24 +195,8 @@ func (a *Absorber) Process(now sim.Time, pkt *packet.Packet, ctx netsim.HookCont
 	if k >= 5 {
 		k = 0
 	}
-	dstNode, ok := a.w.nodeOfAddr(pkt.Dst)
-	delivered := false
-	if ok {
-		if tr, err := a.w.routes.TreeTo(dstNode); err == nil {
-			// Absorbed traffic (server replies, reflected floods exiting
-			// the cone) carries genuine sources: its fluid continuation
-			// is evaluated as such from the shell node onward.
-			a.flow = flowsim.Flow{From: pkt.Origin, To: dstNode, Src: flowsim.SrcGenuine}
-			delivered = a.w.Fluid.FateFrom(tr, &a.flow, a.node, ctx.From).Delivered
-		}
-	}
-	if delivered {
-		a.DeliveredPkts[k]++
-		a.DeliveredBytes[k] += uint64(pkt.Size)
-	} else {
-		a.FilteredPkts[k]++
-		a.FilteredBytes[k] += uint64(pkt.Size)
-	}
+	a.DeliveredPkts[k]++
+	a.DeliveredBytes[k] += uint64(pkt.Size)
 	return netsim.Drop
 }
 

@@ -8,7 +8,7 @@
 //   - a deterministic cone extractor picks the node set simulated at
 //     packet level (cone.go);
 //   - structure-of-arrays client tables hold millions of modeled hosts at
-//     ~19 bytes each without per-host Go objects (table.go);
+//     ~20 bytes each without per-host Go objects (table.go);
 //   - boundary converters turn per-client fluid rates into deterministic
 //     packet arrival schedules at the cone edge and aggregate egress
 //     packets back into flow-level accounting (boundary.go);

@@ -114,6 +114,10 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	}
 	w.Cone = cone
 	w.Fluid = flowsim.NewOnRoutes(g, w.routes)
+	// The packet engine forwards and filters only inside the cone, so it
+	// reads the cone-restricted view: next hops and uRPF bits for the cone
+	// rows, ~1.4 KB per reply destination instead of a full tree.
+	coneRoutes := w.routes.View(cone.Nodes)
 
 	if cfg.Shards > 1 {
 		assign := cfg.Assign
@@ -123,7 +127,7 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 			}
 		}
 		eng := sim.NewSharded(cfg.Seed, cfg.Shards)
-		snet, err := netsim.NewSharded(eng, g, cfg.Link, w.routes, w.owners, assign)
+		snet, err := netsim.NewSharded(eng, g, cfg.Link, coneRoutes, w.owners, assign)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +139,7 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 			})
 		}
 	} else {
-		net, err := netsim.NewOnSubstrate(sim.New(cfg.Seed), g, cfg.Link, w.routes, w.owners)
+		net, err := netsim.NewOnSubstrate(sim.New(cfg.Seed), g, cfg.Link, coneRoutes, w.owners)
 		if err != nil {
 			return nil, err
 		}
@@ -257,7 +261,7 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	w.Absorbers = make([]*Absorber, 0, len(cone.Shell))
 	for k, s := range cone.Shell {
 		a := &aslab[k]
-		*a = Absorber{w: w, node: s}
+		*a = Absorber{w: w}
 		w.eng.AddHook(s, a)
 		w.Absorbers = append(w.Absorbers, a)
 	}

@@ -20,7 +20,7 @@ type ClientSpec struct {
 // the memory-compact representation that lets a scenario carry millions
 // of stub-AS clients without a Go object (let alone a netsim.Host) per
 // client. Storage is six parallel slices plus a per-node base-offset
-// index, ~19 bytes per client; addresses are derived, not stored.
+// index, ~20 bytes per client; addresses are derived, not stored.
 //
 // Clients must be added in non-decreasing node order (the natural order
 // of placement sweeps) and the table sealed before use. After Seal the

@@ -75,6 +75,10 @@ type Builder struct {
 	// Repair scratch (see Repair).
 	state []uint8
 	chain []int32
+
+	// scratch is the tree a restricted view builds into and copies its
+	// rows out of (view.go); it is never handed out.
+	scratch Tree
 }
 
 // NewBuilder returns a Dijkstra builder over g with edge weights w (nil

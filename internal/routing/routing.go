@@ -122,6 +122,13 @@ type Source interface {
 	Invalidate()
 	Builds() int
 	Stats() CacheStats
+	// View returns a Source for a consumer that only ever forwards from
+	// and filters at the given nodes. Its NextHop(cur, ·) and
+	// FeasibleIngress(at, ·, ·) answer exactly as the receiver's for cur
+	// and at in nodes; TreeTo, LinkDown, Invalidate and the counters are
+	// the receiver's. What it answers elsewhere is up to the
+	// implementation (Shared's view reports no route).
+	View(nodes []int) Source
 }
 
 // feasible reports whether `from` lies on some shortest path from tr.Dst's
@@ -132,19 +139,26 @@ func feasible(cw *compiled, tr *Tree, at, from int) bool {
 	if at < 0 || at >= len(tr.Next) || from < 0 || from >= len(tr.Next) {
 		return false
 	}
-	if tr.Next[at] == NoRoute || tr.Next[from] == NoRoute {
-		return false
-	}
 	row := cw.csr.Row(from)
 	base := cw.csr.Off[from]
 	for k, u := range row {
 		if int(u) == at {
-			const eps = 1e-9
-			d := tr.Dist[from] + cw.wadj[int(base)+k] - tr.Dist[at]
-			return d > -eps && d < eps
+			return feasibleVia(tr, at, from, cw.wadj[int(base)+k])
 		}
 	}
 	return false
+}
+
+// feasibleVia is feasible's verdict once the half-edge from->at and its
+// weight w are known; restricted views precompute the half-edge instead
+// of scanning from's row per destination.
+func feasibleVia(tr *Tree, at, from int, w float64) bool {
+	if tr.Next[at] == NoRoute || tr.Next[from] == NoRoute {
+		return false
+	}
+	const eps = 1e-9
+	d := tr.Dist[from] + w - tr.Dist[at]
+	return d > -eps && d < eps
 }
 
 // Table provides next-hop lookup toward any destination, building and
@@ -260,6 +274,10 @@ func (t *Table) Invalidate() {
 	}
 	t.invals.Inc()
 }
+
+// View returns the table itself: a Table is private to one simulation
+// and already answers every query from its own full trees.
+func (t *Table) View([]int) Source { return t }
 
 // Builds reports how many trees have been computed (cache-miss count).
 func (t *Table) Builds() int { return int(t.builds.Value()) }

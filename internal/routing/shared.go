@@ -44,6 +44,7 @@ type Shared struct {
 	mu       sync.Mutex
 	builders []*Builder
 	arena    arena
+	views    map[string]*view // restricted views by node set (view.go)
 
 	hits    metrics.StripedCounter
 	builds  metrics.AtomicCounter
@@ -200,7 +201,8 @@ func (s *Shared) FeasibleIngress(at, from, src int) bool {
 }
 
 // LinkDown repairs every cached tree after edge (a, b) was removed from
-// the graph (see Table.LinkDown). Quiescent-only: callers must guarantee
+// the graph (see Table.LinkDown) and drops every view row, which views
+// rebuild on demand. Quiescent-only: callers must guarantee
 // no concurrent readers, exactly like Invalidate — the sharded engine
 // calls it between Run calls.
 func (s *Shared) LinkDown(a, b int) {
@@ -226,17 +228,23 @@ func (s *Shared) LinkDown(a, b int) {
 			s.repairs.Inc()
 		}
 	}
+	for _, v := range s.views {
+		v.reset()
+	}
 }
 
-// Invalidate drops all cached trees. Callers must guarantee no concurrent
-// readers. Outstanding *Tree pointers remain readable but stale: the arena
-// is never reset.
+// Invalidate drops all cached trees and view rows. Callers must guarantee
+// no concurrent readers. Outstanding *Tree pointers remain readable but
+// stale: the arena is never reset.
 func (s *Shared) Invalidate() {
 	for i := range s.slots {
 		s.slots[i].Store(nil)
 	}
 	s.mu.Lock()
 	_ = s.cw.refresh(s.g, s.w)
+	for _, v := range s.views {
+		v.reset()
+	}
 	s.mu.Unlock()
 	s.invals.Inc()
 }

@@ -63,9 +63,12 @@ type Key struct {
 	Seed uint64
 }
 
-// cacheCap bounds the substrate cache. Entries are evicted FIFO; an 18k-AS
-// substrate is tens of MB, so the cap keeps a whole `-all` experiment run
-// from pinning every topology it ever built.
+// cacheCap bounds the substrate cache. Entries are evicted FIFO. An
+// 18k-AS substrate is tens of MB of graph, address map and client table,
+// plus 216 KB per cached full routing tree and ~1.4 KB per restricted-view
+// row: full-size e15 peaks at ~100 MB live heap (perfbench hybrid_internet
+// on a 2-core AMD EPYC, Go 1.24.0). The cap keeps a whole `-all`
+// experiment run from pinning every topology it ever built.
 const cacheCap = 8
 
 type cacheEntry struct {
