@@ -3,17 +3,17 @@
 
 GO ?= go
 
-.PHONY: all check build test race race-experiment race-live race-shard race-hybrid race-routing race-deploy chaos deploy-smoke vet vuln fmtcheck fuzz bench benchcmp benchfull experiments examples clean
+.PHONY: all check build test race test-cpu chaos deploy-smoke vet vuln fmtcheck fuzz bench benchcmp benchfull experiments examples clean
 
 all: build vet fmtcheck test
 
 # The pre-commit gate: everything `all` runs (including `go vet`) plus the
 # benchmark regression comparison against the previous PR's recorded
-# baseline, the chaos suite (fault injection + recovery), the hybrid and
-# routing concurrency suites under the race detector, a best-effort
+# baseline, the chaos suite (fault injection + recovery), the whole suite
+# under the race detector and at GOMAXPROCS 1 and 2, a best-effort
 # vulnerability scan, and the multi-process deployment smoke (real OS
 # processes over loopback TCP, torn down with an orphan check).
-check: all benchcmp chaos race-hybrid race-routing vuln deploy-smoke
+check: all benchcmp chaos race test-cpu vuln deploy-smoke
 
 build:
 	$(GO) build ./...
@@ -40,41 +40,16 @@ fmtcheck:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector: concurrent sweeps, the live
+# server core, the lock-free routing cache, the hybrid substrate and the
+# in-process side of the deployment harness all run here.
 race:
 	$(GO) test -race ./...
 
-# Race-check the concurrent machinery specifically: RunMany drives many
-# independent simulations on worker goroutines, and the sweep runner +
-# shared substrate carry every in-experiment parallel sweep.
-race-experiment:
-	$(GO) test -race ./internal/experiment ./internal/sweep ./internal/routing ./internal/flowsim
-
-# Race-check the live server core and the telemetry/defense subsystem it
-# drives: concurrent control-plane clients, watch streams, HTTP scrapes and
-# the wall-clock simulation loop all share one process.
-race-live:
-	$(GO) test -race ./internal/live ./internal/ctl ./internal/telemetry ./internal/defense
-
-# Race-check the sharded parallel engine: coordinator rounds, barrier
-# drains, and the sharded network's cross-shard delivery, plus the e13
-# scalability experiment that drives them end to end.
-race-shard:
-	$(GO) test -race -run 'Sharded|Partition|PeekTime|AdvanceTo' ./internal/sim ./internal/netsim ./internal/topology
-	$(GO) test -race -run 'TestWorkerInvariance/e13' ./internal/experiment
-
-# Race-check the hybrid fluid/packet substrate: boundary injectors and
-# absorbers run on shard workers while the fluid model serves concurrent
-# FateFrom walks, plus the e15 experiment that drives it end to end at
-# worker counts {1,2,8}.
-race-hybrid:
-	$(GO) test -race ./internal/hybrid
-	$(GO) test -race -run 'TestE15' ./internal/experiment
-
-# Race-check the lock-free routing cache: concurrent readers racing cold
-# slots, parallel Prebuild, and repair/differential suites that hammer the
-# builder pool.
-race-routing:
-	$(GO) test -race -run 'Shared|Prebuild|Repair|Builder|Caches' ./internal/routing
+# The whole suite at GOMAXPROCS 1 and 2, so scheduling-sensitive code is
+# exercised both serialized and with real parallelism.
+test-cpu:
+	$(GO) test -cpu 1,2 ./...
 
 # The chaos suite: the deterministic fault-injection engine plus every
 # crash/heal/resync/reconnect/leak test across the stack, all under the
@@ -91,12 +66,6 @@ chaos:
 deploy-smoke:
 	$(GO) test -run 'TestDeploySmoke|TestDeployPortCollision' -count=1 ./internal/deploy
 
-# The deployment harness under the race detector (the orchestrator and the
-# in-process side of every role run in the instrumented test binary, which
-# is also re-executed as each child role).
-race-deploy:
-	$(GO) test -race -short -count=1 ./internal/deploy
-
 # Short fuzz pass over the wire-format and parser fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/packet/
@@ -109,7 +78,7 @@ fuzz:
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.
-MICROBENCH = BenchmarkDeviceFastPath|BenchmarkDeviceTwoStage|BenchmarkDeviceProcessBatch|BenchmarkTrieLookup|BenchmarkCompiledTrieLookup|BenchmarkEventQueue|BenchmarkPacketForwarding|BenchmarkShardedForwarding|BenchmarkSweepE10|BenchmarkFlowEvalBatch|BenchmarkTelemetryWire|BenchmarkDetectorObserve|BenchmarkPromExposition|BenchmarkE15Hybrid|BenchmarkHybridMemory|BenchmarkCtlLoad|BenchmarkRoutingBuildTree|BenchmarkSharedTreeToParallel|BenchmarkFailLinkRepair
+MICROBENCH = BenchmarkDeviceFastPath|BenchmarkDeviceTwoStage|BenchmarkDeviceProcessBatch|BenchmarkTrieLookup|BenchmarkCompiledTrieLookup|BenchmarkEventQueue|BenchmarkPacketForwarding|BenchmarkRelayForwarding|BenchmarkSweepE10|BenchmarkFlowEvalBatch|BenchmarkTelemetryWire|BenchmarkDetectorObserve|BenchmarkPromExposition|BenchmarkE15Hybrid|BenchmarkHybridMemory|BenchmarkCtlLoad|BenchmarkRoutingBuildTree|BenchmarkSharedTreeToParallel|BenchmarkFailLinkRepair
 BENCH_OUT ?= BENCH_PR10.json
 BENCH_BASE ?= BENCH_PR9.json
 

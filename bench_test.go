@@ -228,19 +228,15 @@ func BenchmarkPacketForwarding(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedForwarding measures steady-state packet forwarding on an
-// 18k-AS power-law graph at shard counts 1/2/4/8, plus the plain
-// single-threaded engine as the reference row. The workload is a closed
-// relay storm: 64 anchor hosts spread across the degree ranking, each
-// seeded with 512 in-flight packets that are forwarded to the next anchor
-// on every delivery — a constant ~32k packet population, zero allocations
-// in steady state, and no RNG. One op is one simulated millisecond; the
-// whole timed region is a single Run call, so per-op cost is pure engine
-// work (heap, links, barriers), not setup. On a multi-core host the
-// shards=N rows additionally parallelize across the worker pool; on one
-// CPU they isolate the engine's sharding overhead (which must stay <= 0:
-// smaller per-shard heaps beat one global heap even serially).
-func BenchmarkShardedForwarding(b *testing.B) {
+// BenchmarkRelayForwarding measures steady-state packet forwarding on an
+// 18k-AS power-law graph. The workload is a closed relay storm: 64 anchor
+// hosts spread across the degree ranking, each seeded with 512 in-flight
+// packets that are forwarded to the next anchor on every delivery — a
+// constant ~32k packet population, zero allocations in steady state, and
+// no RNG. One op is one simulated millisecond; the whole timed region is a
+// single Run call, so per-op cost is pure engine work (heap, links), not
+// setup.
+func BenchmarkRelayForwarding(b *testing.B) {
 	const (
 		nodes    = 18000
 		anchors  = 64
@@ -251,114 +247,82 @@ func BenchmarkShardedForwarding(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	routes := routing.NewShared(g, nil)
-	owners := sweep.NodeOwners(g)
 	cfg := netsim.LinkConfig{Bandwidth: 1e10, Delay: sim.Millisecond, QueueCap: 1 << 20}
+	s := sim.New(42)
+	net, err := netsim.NewOnSubstrate(s, g, cfg, routing.NewShared(g, nil), sweep.NodeOwners(g))
+	if err != nil {
+		b.Fatal(err)
+	}
 	byDegree := g.NodesByDegree()
 
-	type world interface {
-		AttachHost(node int) (*netsim.Host, error)
-	}
-	// seed wires the relay ring and injects the initial packet population.
-	seed := func(b *testing.B, w world) {
-		b.Helper()
-		hosts := make([]*netsim.Host, anchors)
-		for i := range hosts {
-			h, err := w.AttachHost(byDegree[i*(nodes/anchors)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			hosts[i] = h
-		}
-		for i, h := range hosts {
-			h := h
-			next := hosts[(i+1)%anchors].Addr
-			h.Recv = func(now sim.Time, pkt *packet.Packet) {
-				pkt.Src, pkt.Dst, pkt.TTL = h.Addr, next, 0
-				h.Send(now, pkt)
-			}
-			for k := 0; k < inflight; k++ {
-				pkt := &packet.Packet{Src: h.Addr, Dst: next, Size: 600}
-				h.Send(sim.Time(k*10+i)*sim.Microsecond, pkt)
-			}
-		}
-	}
-	// measure warms the world (routing trees, pools, outboxes), then times
-	// b.N simulated milliseconds in one Run call and reports ns per hop.
-	// Warming is adaptive: pools, outbox block chains, link queues and
-	// event heaps grow toward a fluctuating high-water mark, and the
-	// growth arrives in bursts with quiet windows between them — so one
-	// clean window is not convergence. We run 100 ms windows until three
-	// in a row complete without a single allocation; only then does the
-	// timed region start in true steady state.
-	measure := func(b *testing.B, w world, run func(sim.Time) (sim.Time, error), hops func() uint64) {
-		b.Helper()
-		seed(b, w)
-		warm := 100 * sim.Millisecond
-		if _, err := run(warm); err != nil {
+	// Wire the relay ring and inject the initial packet population.
+	hosts := make([]*netsim.Host, anchors)
+	for i := range hosts {
+		if hosts[i], err = net.AttachHost(byDegree[i*(nodes/anchors)]); err != nil {
 			b.Fatal(err)
 		}
-		var ms runtime.MemStats
-		for i, clean := 0, 0; i < 30 && clean < 3; i++ {
-			runtime.ReadMemStats(&ms)
-			m0 := ms.Mallocs
-			warm += 100 * sim.Millisecond
-			if _, err := run(warm); err != nil {
-				b.Fatal(err)
-			}
-			runtime.ReadMemStats(&ms)
-			if ms.Mallocs == m0 {
-				clean++
-			} else {
-				clean = 0
-			}
-		}
-		before := hops()
-		runtime.GC() // drop setup garbage so collections don't bill the timed region
-		b.ReportAllocs()
-		b.ResetTimer()
-		if _, err := run(warm + sim.Time(b.N)*opDelta); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		moved := hops() - before
-		if moved == 0 {
-			b.Fatal("packet population died out")
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/hop")
-		b.ReportMetric(float64(moved)/float64(b.N), "hops/op")
 	}
-	hopTotal := func(st *netsim.Stats) uint64 {
+	for i, h := range hosts {
+		h := h
+		next := hosts[(i+1)%anchors].Addr
+		h.Recv = func(now sim.Time, pkt *packet.Packet) {
+			pkt.Src, pkt.Dst, pkt.TTL = h.Addr, next, 0
+			h.Send(now, pkt)
+		}
+		for k := 0; k < inflight; k++ {
+			pkt := &packet.Packet{Src: h.Addr, Dst: next, Size: 600}
+			h.Send(sim.Time(k*10+i)*sim.Microsecond, pkt)
+		}
+	}
+	hops := func() uint64 {
 		var n uint64
-		for k := range st.ByteHops {
-			n += st.ByteHops[k] / 600
+		for k := range net.Stats.ByteHops {
+			n += net.Stats.ByteHops[k] / 600
 		}
 		return n
 	}
 
-	b.Run("plain", func(b *testing.B) {
-		s := sim.New(42)
-		net, err := netsim.NewOnSubstrate(s, g, cfg, routes, owners)
-		if err != nil {
+	// Warm the world (routing trees, pools), then time b.N simulated
+	// milliseconds in one Run call and report ns per hop. Warming is
+	// adaptive: pools, link queues and the event heap grow toward a
+	// fluctuating high-water mark, and the growth arrives in bursts with
+	// quiet windows between them — so one clean window is not convergence.
+	// We run 100 ms windows until three in a row complete without a single
+	// allocation; only then does the timed region start in true steady
+	// state.
+	warm := 100 * sim.Millisecond
+	if _, err := s.Run(warm); err != nil {
+		b.Fatal(err)
+	}
+	var ms runtime.MemStats
+	for i, clean := 0, 0; i < 30 && clean < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		m0 := ms.Mallocs
+		warm += 100 * sim.Millisecond
+		if _, err := s.Run(warm); err != nil {
 			b.Fatal(err)
 		}
-		measure(b, net, s.Run, func() uint64 { return hopTotal(net.Stats) })
-	})
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng := sim.NewSharded(42, shards)
-			assign, err := topology.PartitionGreedy(g, shards, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sn, err := netsim.NewSharded(eng, g, cfg, routes, owners, assign)
-			if err != nil {
-				b.Fatal(err)
-			}
-			measure(b, sn, sn.Run, func() uint64 { return hopTotal(sn.MergedStats()) })
-		})
+		runtime.ReadMemStats(&ms)
+		if ms.Mallocs == m0 {
+			clean++
+		} else {
+			clean = 0
+		}
 	}
+	before := hops()
+	runtime.GC() // drop setup garbage so collections don't bill the timed region
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := s.Run(warm + sim.Time(b.N)*opDelta); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	moved := hops() - before
+	if moved == 0 {
+		b.Fatal("packet population died out")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(moved), "ns/hop")
+	b.ReportMetric(float64(moved)/float64(b.N), "hops/op")
 }
 
 // benchGraph18k lazily builds the 18k-AS power-law graph the routing
@@ -401,7 +365,7 @@ func BenchmarkRoutingBuildTree(b *testing.B) {
 
 // BenchmarkSharedTreeToParallel measures contended cache-hit reads on a
 // Shared table: every worker hammers the same warm destination set, the
-// pattern sweep workers and sharded forwarding produce.
+// pattern concurrent sweep workers produce.
 func BenchmarkSharedTreeToParallel(b *testing.B) {
 	g := graph18k(b)
 	routes := routing.NewShared(g, nil)

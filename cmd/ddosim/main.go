@@ -39,7 +39,6 @@ func run() int {
 		parallel   = flag.Int("parallel", 1, "concurrent experiments for -all (wall-clock-measuring experiments prefer 1)")
 		workers    = flag.Int("workers", 0, "concurrent sweep points within an experiment; 0 = GOMAXPROCS. Tables are byte-identical at any value")
 		timeout    = flag.Duration("timeout", 0, "per-experiment deadline (e.g. 2m); 0 = none")
-		shards     = flag.Int("shards", 0, "shard counts for sharded-engine experiments (e13): 0 = default ladder {1,2,4,8}, N>1 compares {1,N}, 1 = single-shard reference")
 		faultseed  = flag.Uint64("faultseed", 7, "seed for fault schedules in fault-injection experiments (e14); independent of -seed")
 		faultrate  = flag.Float64("faultrate", 0, "override e14's fault-rate ladder with {0, rate} expected faults per class per simulated second; 0 = default ladder")
 		hybrid     = flag.Bool("hybrid", true, "run hybrid-substrate experiments (e15) with fluid background + packet cone; -hybrid=false forces the all-packet reference (quick sizes only)")
@@ -55,7 +54,7 @@ func run() int {
 		}
 		return 0
 	}
-	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Timeout: *timeout, Shards: *shards, FaultSeed: *faultseed, FaultRate: *faultrate, PacketOnly: !*hybrid}
+	opts := experiment.Options{Quick: *quick, Seed: *seed, Workers: *workers, Timeout: *timeout, FaultSeed: *faultseed, FaultRate: *faultrate, PacketOnly: !*hybrid}
 	var ids []string
 	switch {
 	case *all:

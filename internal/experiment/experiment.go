@@ -30,11 +30,6 @@ type Options struct {
 	// timed-out experiment reports an error and releases its worker slot
 	// so the rest of the batch proceeds.
 	Timeout time.Duration
-	// Shards selects the shard counts for experiments that exercise the
-	// sharded parallel engine (e13). 0 keeps the default ladder {1,2,4,8};
-	// N>1 compares {1, N}; 1 runs the single-shard reference only.
-	// Counter columns are shard-count-invariant either way.
-	Shards int
 	// FaultSeed seeds the fault schedules of the fault-injection
 	// experiments (e14), independently of Seed so the same fault storyline
 	// can be replayed against different traffic. 0 is a valid seed.

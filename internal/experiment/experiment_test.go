@@ -26,7 +26,7 @@ func cell(t *testing.T, tbl *metrics.Table, row, col int) float64 {
 
 func TestListAndDescribe(t *testing.T) {
 	ids := List()
-	want := []string{"a1", "a2", "a3", "e1", "e10", "e11", "e12", "e13", "e14", "e15", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "f1", "f2", "f3", "f4", "f5", "f6"}
+	want := []string{"a1", "a2", "a3", "e1", "e10", "e11", "e12", "e14", "e15", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "f1", "f2", "f3", "f4", "f5", "f6"}
 	if len(ids) != len(want) {
 		t.Fatalf("List = %v", ids)
 	}

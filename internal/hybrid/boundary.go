@@ -12,8 +12,9 @@ import (
 // boundary as a deterministic packet arrival schedule. Each member client
 // emits constant-bit-rate packets at its fluid rate with a random initial
 // phase drawn from a boundary-keyed RNG substream, so schedules are
-// byte-identical for a fixed seed regardless of worker count or shard
-// assignment (the same discipline internal/sweep uses for points).
+// byte-identical for a fixed seed regardless of worker count or of the
+// order boundaries are armed in (the same discipline internal/sweep uses
+// for points).
 //
 // One re-armed pooled event drives the whole boundary: members wait in an
 // index min-heap keyed by next emission time, all members due at the
@@ -243,7 +244,7 @@ func (w *World) applyResidual() error {
 		if floor := w.Cfg.Link.Bandwidth * 0.01; cfg.Bandwidth < floor {
 			cfg.Bandwidth = floor
 		}
-		if err := w.eng.SetLinkConfig(l[0], l[1], cfg); err != nil {
+		if err := w.net.SetLinkConfig(l[0], l[1], cfg); err != nil {
 			return err
 		}
 	}

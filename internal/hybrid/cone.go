@@ -12,9 +12,9 @@
 //   - boundary converters turn per-client fluid rates into deterministic
 //     packet arrival schedules at the cone edge and aggregate egress
 //     packets back into flow-level accounting (boundary.go);
-//   - a World composes cone, tables, converters and a (possibly sharded)
-//     netsim network behind one façade, with an all-packet reference mode
-//     for equivalence testing (hybrid.go).
+//   - a World composes cone, tables, converters and a netsim network
+//     behind one façade, with an all-packet reference mode for
+//     equivalence testing (hybrid.go).
 package hybrid
 
 import (

@@ -13,20 +13,9 @@ import (
 	"dtc/internal/topology"
 )
 
-// boundarySalt decorrelates the boundary-phase RNG root from the engine's
-// per-shard streams, which are substreams of the bare seed.
+// boundarySalt decorrelates the boundary-phase RNG root from the packet
+// engine's own stream, which is seeded with the bare seed.
 const boundarySalt = 0x9e3779b97f4a7c15
-
-// Engine is the packet-simulation surface the hybrid world builds on —
-// the API slice *netsim.Network and *netsim.ShardedNetwork share.
-type Engine interface {
-	AttachHost(node int) (*netsim.Host, error)
-	NewServer(node int, serviceTime sim.Time, queueCap int) (*netsim.Server, error)
-	AddHook(node int, h netsim.Hook)
-	SetLinkConfig(a, b int, cfg netsim.LinkConfig) error
-	HostByAddr(a packet.Addr) (*netsim.Host, bool)
-	NumHosts() int
-}
 
 // Config describes a hybrid world.
 type Config struct {
@@ -39,9 +28,7 @@ type Config struct {
 	Radius int   // cone radius in tree hops; >= Graph.Len() = all-packet reference
 	Focus  []int // nodes whose paths to the victim join the cone (reflectors)
 
-	Seed   uint64
-	Shards int   // > 1 runs the cone on a sharded engine
-	Assign []int // node -> shard; nil -> memoizable greedy partition
+	Seed uint64
 
 	// RateScale multiplies client rates per traffic class (fluid kill
 	// accounting and packet schedules alike); zero entries mean 1.
@@ -68,9 +55,7 @@ type World struct {
 
 	routes routing.Source
 	owners *ownership.Compiled[int]
-	net    *netsim.Network        // plain engine (Shards <= 1)
-	snet   *netsim.ShardedNetwork // sharded engine (Shards > 1)
-	eng    Engine
+	net    *netsim.Network
 	hosts  []*netsim.Host // materialized in-cone client hosts
 
 	started bool
@@ -119,35 +104,14 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	// rows, ~1.4 KB per reply destination instead of a full tree.
 	coneRoutes := w.routes.View(cone.Nodes)
 
-	if cfg.Shards > 1 {
-		assign := cfg.Assign
-		if assign == nil {
-			if assign, err = topology.PartitionGreedy(g, cfg.Shards, nil); err != nil {
-				return nil, err
-			}
-		}
-		eng := sim.NewSharded(cfg.Seed, cfg.Shards)
-		snet, err := netsim.NewSharded(eng, g, cfg.Link, coneRoutes, w.owners, assign)
-		if err != nil {
-			return nil, err
-		}
-		w.snet, w.eng = snet, snet
-		for s := 0; s < cfg.Shards; s++ {
-			nt := snet.Net(s)
-			nt.OnDrop(func(_ sim.Time, pkt *packet.Packet, _ netsim.DropReason, _ int) {
-				nt.PutPacket(pkt)
-			})
-		}
-	} else {
-		net, err := netsim.NewOnSubstrate(sim.New(cfg.Seed), g, cfg.Link, coneRoutes, w.owners)
-		if err != nil {
-			return nil, err
-		}
-		w.net, w.eng = net, net
-		net.OnDrop(func(_ sim.Time, pkt *packet.Packet, _ netsim.DropReason, _ int) {
-			net.PutPacket(pkt)
-		})
+	net, err := netsim.NewOnSubstrate(sim.New(cfg.Seed), g, cfg.Link, coneRoutes, w.owners)
+	if err != nil {
+		return nil, err
 	}
+	w.net = net
+	net.OnDrop(func(_ sim.Time, pkt *packet.Packet, _ netsim.DropReason, _ int) {
+		net.PutPacket(pkt)
+	})
 
 	// Prebuild the destination trees the client loop is about to fault in
 	// one by one, in parallel when the routing source supports batch
@@ -176,20 +140,20 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	}
 
 	// In-cone clients become real hosts so replies terminate properly;
-	// one shared Recv per shard recycles delivered packets. Boundary
+	// one shared Recv recycles delivered packets. Boundary
 	// membership is resolved in two passes so the injectors and their
 	// member lists come out of exact-size slabs instead of growing one
 	// append at a time per client: pass one attaches hosts and records
 	// each client's boundary key (cone entry node + predecessor), pass
 	// two fills the carved member slices in client order.
-	recv := map[*netsim.Network]func(sim.Time, *packet.Packet){}
+	recv := func(_ sim.Time, pkt *packet.Packet) { net.PutPacket(pkt) }
 	keys := make([]uint64, clients.Len())
 	slotOf := map[uint64]int32{}
 	var counts []int32
 	for i := 0; i < clients.Len(); i++ {
 		node := clients.Node(i)
 		if cone.Contains(node) {
-			h, err := w.eng.AttachHost(node)
+			h, err := net.AttachHost(node)
 			if err != nil {
 				return nil, err
 			}
@@ -197,13 +161,7 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 				return nil, fmt.Errorf("hybrid: client %d got address %v, want %v (hosts attached before NewWorld?)",
 					i, h.Addr, clients.Addr(i))
 			}
-			nt := w.netOf(node)
-			fn := recv[nt]
-			if fn == nil {
-				fn = func(_ sim.Time, pkt *packet.Packet) { nt.PutPacket(pkt) }
-				recv[nt] = fn
-			}
-			h.Recv = fn
+			h.Recv = recv
 			w.hosts = append(w.hosts, h)
 		}
 		dstNode, ok := w.nodeOfAddr(clients.dst[i])
@@ -247,7 +205,7 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 		entry := int(uint32(key >> 32))
 		from := int(uint32(key)) - 1
 		inj := &injSlab[slot]
-		*inj = Injector{net: w.netOf(entry), cl: clients, node: entry, from: from}
+		*inj = Injector{net: net, cl: clients, node: entry, from: from}
 		inj.members = memberPool[off : off : off+int(counts[slot])]
 		off += int(counts[slot])
 		w.Injectors[slot] = inj
@@ -262,35 +220,21 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	for k, s := range cone.Shell {
 		a := &aslab[k]
 		*a = Absorber{w: w}
-		w.eng.AddHook(s, a)
+		net.AddHook(s, a)
 		w.Absorbers = append(w.Absorbers, a)
 	}
 	return w, nil
 }
 
 // Eng exposes the packet engine for attaching servers and hooks.
-func (w *World) Eng() Engine { return w.eng }
+func (w *World) Eng() *netsim.Network { return w.net }
 
-// NetOf returns the network simulating node (the plain network, or the
-// owning shard's) — the place to return recycled packets on that node.
-func (w *World) NetOf(node int) *netsim.Network { return w.netOf(node) }
-
-func (w *World) netOf(node int) *netsim.Network {
-	if w.snet != nil {
-		return w.snet.NetOf(node)
-	}
-	return w.net
-}
+// NetOf returns the network simulating node — the place to return
+// recycled packets on that node. There is one packet network, so this is
+// Eng() for every node.
+func (w *World) NetOf(node int) *netsim.Network { return w.net }
 
 func (w *World) nodeOfAddr(a packet.Addr) (int, bool) { return w.owners.Lookup(a) }
-
-// SetWorkers bounds the goroutines driving a sharded world's rounds
-// (results are identical at any count); a plain world ignores it.
-func (w *World) SetWorkers(n int) {
-	if w.snet != nil {
-		w.snet.Engine.Workers = n
-	}
-}
 
 // Deploy installs the edge ingress-filtering defense at nodes, split by
 // mechanism: in-cone nodes get the packet-level baseline.IngressFilter
@@ -301,12 +245,10 @@ func (w *World) Deploy(nodes []int) error {
 	if w.started {
 		return fmt.Errorf("hybrid: Deploy after Start")
 	}
-	var fluid []int
-	byNet := map[*netsim.Network][]int{}
+	var fluid, packets []int
 	for _, n := range nodes {
 		if w.Cone.Contains(n) {
-			nt := w.netOf(n)
-			byNet[nt] = append(byNet[nt], n)
+			packets = append(packets, n)
 		} else {
 			fluid = append(fluid, n)
 		}
@@ -314,8 +256,8 @@ func (w *World) Deploy(nodes []int) error {
 	if err := w.Fluid.Deploy(fluid, false); err != nil {
 		return err
 	}
-	for nt, ns := range byNet {
-		w.Filters = append(w.Filters, baseline.DeployIngress(nt, ns))
+	if len(packets) > 0 {
+		w.Filters = append(w.Filters, baseline.DeployIngress(w.net, packets))
 	}
 	return nil
 }
@@ -385,28 +327,13 @@ func (w *World) Start(start, stop sim.Time) error {
 }
 
 // Run advances the world to `until` and returns the frontier time.
-func (w *World) Run(until sim.Time) (sim.Time, error) {
-	if w.snet != nil {
-		return w.snet.Run(until)
-	}
-	return w.net.Sim.Run(until)
-}
+func (w *World) Run(until sim.Time) (sim.Time, error) { return w.net.Sim.Run(until) }
 
-// Stats returns the packet-level statistics (merged across shards).
-func (w *World) Stats() *netsim.Stats {
-	if w.snet != nil {
-		return w.snet.MergedStats()
-	}
-	return w.net.Stats
-}
+// Stats returns the packet-level statistics.
+func (w *World) Stats() *netsim.Stats { return w.net.Stats }
 
 // Fired returns total packet events executed.
-func (w *World) Fired() uint64 {
-	if w.snet != nil {
-		return w.snet.Fired()
-	}
-	return w.net.Sim.Fired()
-}
+func (w *World) Fired() uint64 { return w.net.Sim.Fired() }
 
 // ClientReceived aggregates traffic that reached modeled clients, by
 // kind, across both termination paths: deliveries to materialized

@@ -161,7 +161,7 @@ func buildScenario(t *testing.T, g *topology.Graph, victim int, legitPer int) *C
 
 // runScenario builds, deploys, starts and runs one world for a second of
 // simulated time, returning it with the victim server.
-func runScenario(t *testing.T, g *topology.Graph, cl *Clients, radius, shards, workers int) (*World, *netsim.Server) {
+func runScenario(t *testing.T, g *topology.Graph, cl *Clients, radius int) (*World, *netsim.Server) {
 	t.Helper()
 	victim := g.NodesByDegree()[0]
 	w, err := NewWorld(Config{
@@ -170,12 +170,10 @@ func runScenario(t *testing.T, g *topology.Graph, cl *Clients, radius, shards, w
 		Victim: victim,
 		Radius: radius,
 		Seed:   99,
-		Shards: shards,
 	}, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.SetWorkers(workers)
 	srv, err := w.Eng().NewServer(victim, 15*sim.Microsecond, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +220,7 @@ func TestBoundaryConservesOfferedLoad(t *testing.T) {
 	g := testGraph(t, 300, 5)
 	victim := g.NodesByDegree()[0]
 	cl := buildScenario(t, g, victim, 3)
-	w, _ := runScenario(t, g, cl, 1, 1, 1)
+	w, _ := runScenario(t, g, cl, 1)
 
 	var wantRate [5]float64
 	for i := 0; i < cl.Len(); i++ {
@@ -262,8 +260,8 @@ func TestHybridMatchesPacketReference(t *testing.T) {
 	g := testGraph(t, 300, 5)
 	victim := g.NodesByDegree()[0]
 
-	hyb, hsrv := runScenario(t, g, buildScenario(t, g, victim, 2), 1, 1, 1)
-	ref, rsrv := runScenario(t, g, buildScenario(t, g, victim, 2), g.Len(), 1, 1)
+	hyb, hsrv := runScenario(t, g, buildScenario(t, g, victim, 2), 1)
+	ref, rsrv := runScenario(t, g, buildScenario(t, g, victim, 2), g.Len())
 
 	// The fluid filter kill set must equal the reference's packet-level
 	// kill set, expressed as surviving member counts per kind.
@@ -304,10 +302,10 @@ func TestHybridMatchesPacketReference(t *testing.T) {
 	within("replies received", float64(hp[packet.KindService]), float64(rp[packet.KindService]), 0.05)
 }
 
-// TestHybridByteIdenticalAcrossWorkers pins the determinism contract: a
-// sharded hybrid world produces bit-identical packet statistics at any
-// worker count.
-func TestHybridByteIdenticalAcrossWorkers(t *testing.T) {
+// TestHybridDeterministicRepeat pins the determinism contract: rebuilding
+// a hybrid world from scratch (routing trees prebuilt on every core)
+// reproduces bit-identical packet statistics.
+func TestHybridDeterministicRepeat(t *testing.T) {
 	g := testGraph(t, 80, 7)
 	victim := g.NodesByDegree()[0]
 	type snap struct {
@@ -315,17 +313,16 @@ func TestHybridByteIdenticalAcrossWorkers(t *testing.T) {
 		pkts  [5]uint64
 		fired uint64
 	}
-	run := func(workers int) snap {
+	run := func() snap {
 		cl := buildScenario(t, g, victim, 2)
-		w, _ := runScenario(t, g, cl, 2, 4, workers)
+		w, _ := runScenario(t, g, cl, 2)
 		p, _ := w.ClientReceived()
 		return snap{stats: *w.Stats(), pkts: p, fired: w.Fired()}
 	}
-	base := run(1)
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
-		if !reflect.DeepEqual(got, base) {
-			t.Errorf("workers=%d diverged from workers=1:\n got %+v\nwant %+v", workers, got, base)
+	base := run()
+	for i := 0; i < 2; i++ {
+		if got := run(); !reflect.DeepEqual(got, base) {
+			t.Errorf("rebuild %d diverged from the first run:\n got %+v\nwant %+v", i+1, got, base)
 		}
 	}
 }

@@ -37,7 +37,7 @@ func (h *Host) Send(now sim.Time, pkt *packet.Packet) {
 	}
 	pkt.Origin = h.Node
 	pkt.ID = h.net.nextID
-	h.net.nextID += h.net.idStride
+	h.net.nextID++
 	h.net.Stats.addSent(pkt)
 	h.net.inject(now, pkt, h.Node, Local)
 }
@@ -56,7 +56,7 @@ func (h *Host) SendBatch(now sim.Time, pkts []*packet.Packet) {
 		}
 		pkt.Origin = h.Node
 		pkt.ID = h.net.nextID
-		h.net.nextID += h.net.idStride
+		h.net.nextID++
 		h.net.Stats.addSent(pkt)
 	}
 	h.net.InjectBatch(now, pkts, h.Node, Local)

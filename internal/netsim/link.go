@@ -109,17 +109,5 @@ func (l *link) send(now sim.Time, pkt *packet.Packet) {
 	// events (dequeue at serialization end, arrival one propagation delay
 	// later) come from free lists rather than fresh closures.
 	l.net.Sim.At(done, l.net.newDequeue(l))
-	if a := l.net.assign; a != nil {
-		if d := a[l.to]; d != l.net.shardID {
-			// Cut link: the arrival belongs to another shard. Buffer it in
-			// the outbox; the coordinator's barrier hands it over before
-			// any shard's clock can reach its deadline (conservative
-			// lookahead <= this link's Delay guarantees that).
-			l.net.pushCross(d, crossMsg{
-				at: done + l.cfg.Delay, from: int32(l.from), to: int32(l.to), pkt: pkt,
-			})
-			return
-		}
-	}
 	l.net.Sim.At(done+l.cfg.Delay, l.net.newArrival(l, pkt))
 }

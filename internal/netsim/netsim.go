@@ -133,24 +133,6 @@ type Network struct {
 	// hosts (the hybrid cone does) costs one allocation per block, and
 	// host pointers stay stable because blocks are never moved or reused.
 	hostSlab []Host
-
-	// Sharded execution state (zero/nil on a plain network). assign maps
-	// node -> shard, shardID names this network's shard, outbox[d] chains
-	// fixed-size blocks of packets bound for shard d until the
-	// coordinator's next barrier, blockPool is the fungible block free
-	// list those chains recycle through, and crossPool recycles the
-	// arrival events that carry them in (see sharded.go).
-	shardID   int
-	assign    []int
-	outbox    []crossBox
-	blockPool *crossBlock
-	crossPool []*crossArrivalEvent
-
-	// idStride is the packet-ID allocation stride: 1 on a plain network;
-	// on shard s of S the stream is s, s+S, s+2S, … so IDs stay globally
-	// unique without cross-shard coordination. (IDs are therefore NOT
-	// shard-count-invariant; nothing orders or aggregates by ID.)
-	idStride uint64
 }
 
 // New builds a network over g. Every edge gets cfg; use SetLinkConfig to
@@ -167,58 +149,30 @@ func New(s *sim.Simulation, g *topology.Graph, cfg LinkConfig) (*Network, error)
 // instead of rebuilding them per simulation. Networks on a shared substrate
 // must not mutate topology: FailLink returns an error.
 func NewOnSubstrate(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes routing.Source, owners *ownership.Compiled[int]) (*Network, error) {
-	return newNetwork(s, g, cfg, routes, owners, nil, 0)
-}
-
-// newNetwork is the shared constructor. assign == nil builds a plain
-// network owning every node; otherwise the network owns only the nodes
-// with assign[i] == shardID, and directed links are instantiated only
-// where the transmitting endpoint is owned (the receiving shard's copy of
-// a cut edge carries the opposite direction).
-func newNetwork(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes routing.Source, owners *ownership.Compiled[int], assign []int, shardID int) (*Network, error) {
 	if cfg.Bandwidth <= 0 || cfg.Delay < 0 || cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("netsim: invalid link config %+v", cfg)
 	}
-	if assign != nil && (routes == nil || owners == nil) {
-		return nil, fmt.Errorf("netsim: sharded networks need shared routes and compiled owners")
-	}
-	// Count owned routers and directed links up front so both come out of
-	// one contiguous slab each: a 7000-link network costs two allocations
-	// instead of 14000, and the per-link state the forwarding loop touches
-	// is packed instead of scattered across the heap.
+	// Routers and directed links come out of one contiguous slab each: a
+	// 7000-link network costs two allocations instead of 14000, and the
+	// per-link state the forwarding loop touches is packed instead of
+	// scattered across the heap.
 	edges := g.Edges()
-	nLinks, nRouters := 0, 0
-	for i := 0; i < g.Len(); i++ {
-		if assign == nil || assign[i] == shardID {
-			nRouters++
-		}
-	}
-	for _, e := range edges {
-		if assign == nil || assign[e.A] == shardID {
-			nLinks++
-		}
-		if assign == nil || assign[e.B] == shardID {
-			nLinks++
-		}
-	}
+	nLinks := 2 * len(edges)
 	n := &Network{
-		Sim:      s,
-		Graph:    g,
-		Table:    routes,
-		Stats:    NewStats(),
-		owners:   owners,
-		shared:   routes != nil || owners != nil,
-		links:    make(map[[2]int]*link, nLinks),
-		hosts:    make(map[packet.Addr]*Host),
-		byNode:   make(map[int][]*Host),
-		assign:   assign,
-		shardID:  shardID,
-		idStride: 1,
+		Sim:    s,
+		Graph:  g,
+		Table:  routes,
+		Stats:  NewStats(),
+		owners: owners,
+		shared: routes != nil || owners != nil,
+		links:  make(map[[2]int]*link, nLinks),
+		hosts:  make(map[packet.Addr]*Host),
+		byNode: make(map[int][]*Host),
 	}
 	if n.Table == nil {
 		n.Table = routing.NewTable(g, nil)
 	}
-	rslab := make([]router, nRouters)
+	rslab := make([]router, g.Len())
 	lslab := make([]link, nLinks)
 	newLink := func(from, to int) *link {
 		l := &lslab[0]
@@ -226,24 +180,14 @@ func newNetwork(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes rou
 		*l = link{net: n, from: from, to: to, cfg: cfg}
 		return l
 	}
-	// Owned routers' next-hop rows come out of two shared slabs sized by
-	// total owned degree (the CSR view gives each degree for free).
+	// Routers' next-hop rows come out of two shared slabs sized by total
+	// degree (the CSR view's concatenated neighbor lists).
 	csr := g.CSR()
-	totDeg := 0
-	for i := 0; i < g.Len(); i++ {
-		if assign == nil || assign[i] == shardID {
-			totDeg += len(csr.Row(i))
-		}
-	}
-	nbrSlab := make([]int32, 0, totDeg)
-	outSlab := make([]*link, totDeg)
+	nbrSlab := make([]int32, 0, len(csr.Adj))
+	outSlab := make([]*link, len(csr.Adj))
 	n.routers = make([]*router, g.Len())
 	for i := range n.routers {
-		if assign != nil && assign[i] != shardID {
-			continue // foreign node: its shard owns the router
-		}
-		r := &rslab[0]
-		rslab = rslab[1:]
+		r := &rslab[i]
 		row := csr.Row(i)
 		base := len(nbrSlab)
 		nbrSlab = append(nbrSlab, row...)
@@ -256,16 +200,12 @@ func newNetwork(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes rou
 		}
 	}
 	for _, e := range edges {
-		if assign == nil || assign[e.A] == shardID {
-			ab := newLink(e.A, e.B)
-			n.links[[2]int{e.A, e.B}] = ab
-			n.routers[e.A].setLink(e.B, ab)
-		}
-		if assign == nil || assign[e.B] == shardID {
-			ba := newLink(e.B, e.A)
-			n.links[[2]int{e.B, e.A}] = ba
-			n.routers[e.B].setLink(e.A, ba)
-		}
+		ab := newLink(e.A, e.B)
+		n.links[[2]int{e.A, e.B}] = ab
+		n.routers[e.A].setLink(e.B, ab)
+		ba := newLink(e.B, e.A)
+		n.links[[2]int{e.B, e.A}] = ba
+		n.routers[e.B].setLink(e.A, ba)
 	}
 	return n, nil
 }
@@ -285,9 +225,7 @@ func (n *Network) GetPacket() *packet.Packet {
 
 // PutPacket returns p to the free list. The caller asserts no live
 // reference to p remains — recycling a packet still queued in the
-// simulator corrupts the run. On a sharded network, return packets to the
-// network of the shard where they terminated (Host.Sim's network): pools
-// are per-shard and unsynchronized.
+// simulator corrupts the run.
 func (n *Network) PutPacket(p *packet.Packet) {
 	n.pktPool = append(n.pktPool, p)
 }
@@ -361,9 +299,6 @@ func (n *Network) OnDrop(fn func(now sim.Time, pkt *packet.Packet, reason DropRe
 func (n *Network) AttachHost(node int) (*Host, error) {
 	if node < 0 || node >= n.Graph.Len() {
 		return nil, fmt.Errorf("netsim: node %d out of range", node)
-	}
-	if n.assign != nil && n.assign[node] != n.shardID {
-		return nil, fmt.Errorf("netsim: node %d belongs to shard %d, not %d (attach through ShardedNetwork)", node, n.assign[node], n.shardID)
 	}
 	p := NodePrefix(node)
 	idx := uint64(len(n.byNode[node]) + 1) // .0 reserved for the router
@@ -457,8 +392,7 @@ func (n *Network) InjectBatch(now sim.Time, pkts []*packet.Packet, node, from in
 // (TTL/Size defaults, a fresh globally unique ID, sent statistics) except
 // for Origin, which the caller sets to the true originating node, and
 // then the burst enters node's router as if arriving from neighbor `from`
-// (Local for traffic materialized at its actual origin). On a sharded
-// network, call this on the shard owning node.
+// (Local for traffic materialized at its actual origin).
 func (n *Network) InjectExternal(now sim.Time, pkts []*packet.Packet, node, from int) {
 	for _, pkt := range pkts {
 		if pkt.TTL == 0 {
@@ -468,7 +402,7 @@ func (n *Network) InjectExternal(now sim.Time, pkts []*packet.Packet, node, from
 			pkt.Size = packet.MinHeaderBytes
 		}
 		pkt.ID = n.nextID
-		n.nextID += n.idStride
+		n.nextID++
 		n.Stats.addSent(pkt)
 	}
 	n.InjectBatch(now, pkts, node, from)

@@ -92,9 +92,9 @@ func (s *Stats) addOverload(p *packet.Packet) {
 	s.Overload[k].Bytes += uint64(p.Size)
 }
 
-// Merge adds o's counters into s. The sharded network uses it to fold
-// per-shard statistics into one network-wide view; integer sums make the
-// result independent of merge order and shard count.
+// Merge adds o's counters into s, folding several networks' statistics
+// into one view (benchmarks sum per-world packet statistics with it);
+// integer sums make the result independent of merge order.
 func (s *Stats) Merge(o *Stats) {
 	for k := range s.Sent {
 		s.Sent[k].Packets += o.Sent[k].Packets

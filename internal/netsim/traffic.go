@@ -52,10 +52,9 @@ func (h *Host) StartPoisson(start sim.Time, rate float64, mk func(i uint64) *pac
 }
 
 // StartPoissonRNG is StartPoisson drawing inter-arrival times from an
-// explicit generator. Sharded scenarios need this for shard-count
-// invariance: forking the simulation RNG ties the stream to the shard the
-// host landed on, while a caller-supplied sim.RNG.Substream keyed by the
-// host's node ID is identical under any partition.
+// explicit generator. Forking the simulation RNG ties a host's stream to
+// how many forks preceded it, while a caller-supplied sim.RNG.Substream
+// keyed by the host's node ID is identical whatever order sources start in.
 func (h *Host) StartPoissonRNG(start sim.Time, rate float64, rng *sim.RNG, mk func(i uint64) *packet.Packet) *Source {
 	if rate <= 0 {
 		panic("netsim: Poisson rate must be positive")

@@ -107,7 +107,7 @@ func TestRepairZeroAllocSteadyState(t *testing.T) {
 
 // Concurrent readers racing on cold and warm slots must agree on one
 // canonical tree per destination and never misroute. Run under -race via
-// make race-routing.
+// make race.
 func TestSharedConcurrentReaders(t *testing.T) {
 	g, err := topology.BarabasiAlbert(400, 2, sim.NewRNG(4))
 	if err != nil {

@@ -169,8 +169,8 @@ func TestFailLinkRepairDeterministic(t *testing.T) {
 }
 
 // TestSharedLinkDownMatchesTable runs the same cut through a Shared cache
-// and checks it repairs to the same trees as Table (the sharded engine's
-// FailLink path vs the plain engine's).
+// and checks it repairs to the same trees as Table (the concurrent cache's
+// repair path vs the single-simulation table's).
 func TestSharedLinkDownMatchesTable(t *testing.T) {
 	mk := func() *topology.Graph {
 		g, err := topology.BarabasiAlbert(300, 2, sim.NewRNG(5))

@@ -27,8 +27,7 @@ import (
 // The topology graph must not be mutated while readers are active.
 // Quiescent-point mutations are supported: LinkDown (after a RemoveEdge)
 // repairs affected trees in place, Invalidate drops every slot. Both
-// require the caller to guarantee no concurrent readers, exactly like the
-// sharded engine's FailLink contract.
+// require the caller to guarantee no concurrent readers.
 type Shared struct {
 	g     *topology.Graph
 	w     WeightFunc
@@ -203,8 +202,7 @@ func (s *Shared) FeasibleIngress(at, from, src int) bool {
 // LinkDown repairs every cached tree after edge (a, b) was removed from
 // the graph (see Table.LinkDown) and drops every view row, which views
 // rebuild on demand. Quiescent-only: callers must guarantee
-// no concurrent readers, exactly like Invalidate — the sharded engine
-// calls it between Run calls.
+// no concurrent readers, exactly like Invalidate.
 func (s *Shared) LinkDown(a, b int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

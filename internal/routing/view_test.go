@@ -140,7 +140,7 @@ func TestSharedViewMatchesFullTrees(t *testing.T) {
 }
 
 // TestSharedViewConcurrentReaders races readers over cold view rows (run
-// under -race via make race-routing): every reader sees the rows a
+// under -race via make race): every reader sees the rows a
 // sequential pass over a separate cache computes, and racing builds of
 // one destination publish a single row.
 func TestSharedViewConcurrentReaders(t *testing.T) {

@@ -307,32 +307,6 @@ func (s *Simulation) fire(top *entry) {
 	ev.Fire(s.now)
 }
 
-// PeekTime returns the deadline of the next live event without firing it.
-// ok is false when the queue holds no live events. Cancelled entries
-// encountered on the way to the root are discarded, so repeated peeks stay
-// O(1) amortized. The sharded coordinator uses this to compute each
-// barrier round's conservative window base.
-func (s *Simulation) PeekTime() (Time, bool) {
-	if top := s.next(); top != nil {
-		return top.at, true
-	}
-	return 0, false
-}
-
-// AdvanceTo moves the clock forward to at without firing anything. It is a
-// no-op when at <= now and panics if a live event would be skipped —
-// the sharded coordinator uses it to keep idle shards' clocks aligned with
-// the barrier window so later deliveries never schedule into their past.
-func (s *Simulation) AdvanceTo(at Time) {
-	if at <= s.now {
-		return
-	}
-	if top := s.next(); top != nil && top.at < at {
-		panic(fmt.Sprintf("sim: AdvanceTo(%v) would skip event at %v", at, top.at))
-	}
-	s.now = at
-}
-
 // Run executes events in order until the queue empties, Stop is called, or
 // simulated time would pass until. Events scheduled exactly at until still
 // fire. It returns the time at which the run stopped.

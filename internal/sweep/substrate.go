@@ -21,31 +21,6 @@ type Substrate struct {
 	Routes *routing.Shared
 	Owners *ownership.Compiled[int]
 	Aux    any
-
-	partMu sync.Mutex
-	parts  map[int][]int
-}
-
-// Partition returns the memoized greedy shard assignment of Graph for the
-// given shard count, computing it on first use. The result is shared —
-// callers must treat it as read-only, like everything else in a substrate.
-// Memoization matters because sweeps re-enter the same (topology, shards)
-// pair once per point, and an 18k-AS greedy partition costs milliseconds.
-func (s *Substrate) Partition(shards int) ([]int, error) {
-	s.partMu.Lock()
-	defer s.partMu.Unlock()
-	if a, ok := s.parts[shards]; ok {
-		return a, nil
-	}
-	a, err := topology.PartitionGreedy(s.Graph, shards, nil)
-	if err != nil {
-		return nil, err
-	}
-	if s.parts == nil {
-		s.parts = map[int][]int{}
-	}
-	s.parts[shards] = a
-	return a, nil
 }
 
 // Prebuild constructs the routing trees for dsts up front on all cores
