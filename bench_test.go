@@ -557,6 +557,47 @@ func BenchmarkHybridMemory(b *testing.B) {
 	b.ReportMetric(float64(cl.Bytes())/float64(cl.Len()), "bytes/host")
 }
 
+// BenchmarkConeViewRows measures the warm-up hybrid.World.Run does before
+// its event loop: prebuilding the full-size e15 cone's routing rows (239
+// cone nodes of the 18k-AS seed-42 graph) toward the first 1,024 client
+// ASes on a fresh routing cache, on one worker and on GOMAXPROCS workers.
+// Every row is one full Dijkstra run; ns/row is the per-row cost.
+func BenchmarkConeViewRows(b *testing.B) {
+	g, err := topology.BarabasiAlbert(18000, 2, sim.NewRNG(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	stubs := g.Stubs()
+	cone, err := hybrid.ExtractCone(g, routing.NewShared(g, nil), stubs[0], 2, g.NodesByDegree()[:8])
+	if err != nil {
+		b.Fatal(err)
+	}
+	if cone.Len() != 239 {
+		b.Fatalf("cone has %d nodes, want e15's 239", cone.Len())
+	}
+	dsts := stubs[1:1025]
+	// workers 0 is Prebuild's GOMAXPROCS default, read at run time so
+	// -cpu applies.
+	for _, workers := range []int{1, 0} {
+		name := "workers=1"
+		if workers == 0 {
+			name = "workers=GOMAXPROCS"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				vw := routing.NewShared(g, nil).View(cone.Nodes)
+				b.StartTimer()
+				if err := vw.Prebuild(dsts, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dsts)), "ns/row")
+		})
+	}
+}
+
 // BenchmarkTelemetryWire measures one snapshot round trip through the
 // canonical wire format — the per-device, per-report cost of the telemetry
 // pipeline.

@@ -289,3 +289,136 @@ func TestE15QuickFullTreesOnlyTowardCone(t *testing.T) {
 		t.Errorf("%d builds for a %d-node graph: destinations are built more than once", st.Builds, sc.g.Len())
 	}
 }
+
+// spoofing returns the scenario with every attack agent forging node's
+// address instead of the victim's.
+func (sc *e15Quick) spoofing(t *testing.T, node int) *e15Quick {
+	t.Helper()
+	cl := NewClients(sc.g.Len())
+	for i := 0; i < sc.clients.Len(); i++ {
+		spec := sc.clients.Spec(i)
+		if spec.Spoof != 0 {
+			spec.Spoof = netsim.NodePrefix(node).Nth(1)
+		}
+		if _, err := cl.Add(sc.clients.Node(i), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Seal(sc.g.Len())
+	out := *sc
+	out.clients = cl
+	return &out
+}
+
+// rowLog is a routing source that hands every world a view recording
+// what happens to that world's cone rows: the destinations Prebuild
+// warmed, the armed members' source and destination nodes at that moment,
+// and every destination the event loop then reads.
+type rowLog struct {
+	routing.Source
+	cells []*rowCell
+}
+
+// rowCell is one world's record; w is set before the world starts.
+type rowCell struct {
+	w                    *World
+	warmCalls            int
+	warmed, armed, asked map[int]bool
+}
+
+type rowView struct {
+	routing.Source
+	c *rowCell
+}
+
+func (l *rowLog) View(nodes []int) routing.Source {
+	c := &rowCell{warmed: map[int]bool{}, armed: map[int]bool{}, asked: map[int]bool{}}
+	l.cells = append(l.cells, c)
+	return &rowView{Source: l.Source.View(nodes), c: c}
+}
+
+func (v *rowView) Prebuild(dsts []int, workers int) error {
+	c := v.c
+	c.warmCalls++
+	for _, d := range dsts {
+		c.warmed[d] = true
+	}
+	// Run warms before the first event fires: the injector heaps hold
+	// exactly the members arming scheduled.
+	for _, inj := range c.w.Injectors {
+		for _, s := range inj.heap {
+			m := int(inj.members[s])
+			spec := c.w.Clients.Spec(m)
+			src := spec.Spoof
+			if src == 0 {
+				src = c.w.Clients.Addr(m)
+			}
+			for _, a := range []packet.Addr{src, spec.Dst} {
+				if n, ok := c.w.nodeOfAddr(a); ok {
+					c.armed[n] = true
+				}
+			}
+		}
+	}
+	return v.Source.Prebuild(dsts, workers)
+}
+
+func (v *rowView) NextHop(cur, dst int) (int, bool) {
+	v.c.asked[dst] = true
+	return v.Source.NextHop(cur, dst)
+}
+
+func (v *rowView) FeasibleIngress(at, from, src int) bool {
+	v.c.asked[src] = true
+	return v.Source.FeasibleIngress(at, from, src)
+}
+
+// TestE15QuickRunWarmsEveryRow pins World.Run's warm-up: in each of e15's
+// six quick cells, Run prebuilds the cone rows once, every row the event
+// loop then reads was among them, and it prebuilds nothing but armed
+// members' source and destination nodes. It runs the cells twice: as e15
+// has them, and with the agents spoofing a transit AS no client lives on,
+// whose rows only the reflections back to a forged source read.
+func TestE15QuickRunWarmsEveryRow(t *testing.T) {
+	base := newE15Quick(t)
+	bystander := -1
+	for _, n := range base.g.NodesByDegree()[len(base.reflectors):] {
+		if base.g.Nodes[n].Role != topology.RoleStub && n != base.victim {
+			bystander = n
+			break
+		}
+	}
+	if bystander < 0 {
+		t.Fatal("no transit AS to spoof")
+	}
+	for _, sc := range []*e15Quick{base, base.spoofing(t, bystander)} {
+		log := &rowLog{Source: routing.NewShared(sc.g, nil)}
+		sc.run(t, log, func(w *World, _ []int) { log.cells[len(log.cells)-1].w = w })
+		if len(log.cells) != 6 {
+			t.Fatalf("%d worlds asked for a cone view, want 6", len(log.cells))
+		}
+		askedBystander := false
+		for i, c := range log.cells {
+			if c.warmCalls != 1 {
+				t.Errorf("cell %d: Run warmed the cone %d times, want once", i, c.warmCalls)
+			}
+			if len(c.asked) == 0 {
+				t.Errorf("cell %d: the event loop read no row; the log is not wired in", i)
+			}
+			for d := range c.asked {
+				if !c.warmed[d] {
+					t.Errorf("cell %d: the event loop read row %d, which Run did not warm", i, d)
+				}
+			}
+			for d := range c.warmed {
+				if !c.armed[d] {
+					t.Errorf("cell %d: Run warmed row %d, no armed member's source or destination", i, d)
+				}
+			}
+			askedBystander = askedBystander || c.asked[bystander]
+		}
+		if sc != base && !askedBystander {
+			t.Errorf("no cell read the spoofed bystander %d's row; the variant tests nothing", bystander)
+		}
+	}
+}

@@ -54,11 +54,15 @@ type World struct {
 	Filters   []*baseline.IngressFilter
 
 	routes routing.Source
+	cone   routing.Source // the packet engine's view of routes
 	owners *ownership.Compiled[int]
 	net    *netsim.Network
 	hosts  []*netsim.Host // materialized in-cone client hosts
 
 	started bool
+	// warm marks, between Start and the first Run, the nodes whose cone
+	// rows the armed traffic will read (see Run).
+	warm []bool
 
 	// FluidCutCount/FluidCutRate tally clients whose fluid prefix is
 	// dropped by an out-of-cone filter before reaching the packet
@@ -102,9 +106,9 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	// The packet engine forwards and filters only inside the cone, so it
 	// reads the cone-restricted view: next hops and uRPF bits for the cone
 	// rows, ~1.4 KB per reply destination instead of a full tree.
-	coneRoutes := w.routes.View(cone.Nodes)
+	w.cone = w.routes.View(cone.Nodes)
 
-	net, err := netsim.NewOnSubstrate(sim.New(cfg.Seed), g, cfg.Link, coneRoutes, w.owners)
+	net, err := netsim.NewOnSubstrate(sim.New(cfg.Seed), g, cfg.Link, w.cone, w.owners)
 	if err != nil {
 		return nil, err
 	}
@@ -114,29 +118,17 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 	})
 
 	// Prebuild the destination trees the client loop is about to fault in
-	// one by one, in parallel when the routing source supports batch
-	// construction (routing.Shared): at 18k ASes this moves all Dijkstra
-	// runs up front onto every core.
-	if pb, ok := w.routes.(interface{ Prebuild([]int, int) error }); ok {
-		seen := map[int]bool{}
-		var dsts []int
-		add := func(d int) {
-			if !seen[d] {
-				seen[d] = true
-				dsts = append(dsts, d)
-			}
-		}
-		for i := 0; i < clients.Len(); i++ {
-			if d, ok := w.nodeOfAddr(clients.dst[i]); ok {
-				add(d)
-			}
-		}
-		for i := range cfg.Background {
-			add(cfg.Background[i].To)
-		}
-		if err := pb.Prebuild(dsts, 0); err != nil {
-			return nil, err
-		}
+	// one by one, on every core where the routing source is concurrent.
+	want := make([]bool, g.Len())
+	for i := 0; i < clients.Len(); i++ {
+		w.mark(want, clients.dst[i])
+	}
+	dsts := members(want)
+	for i := range cfg.Background {
+		dsts = append(dsts, cfg.Background[i].To)
+	}
+	if err := w.routes.Prebuild(dsts, 0); err != nil {
+		return nil, err
 	}
 
 	// In-cone clients become real hosts so replies terminate properly;
@@ -236,6 +228,24 @@ func (w *World) NetOf(node int) *netsim.Network { return w.net }
 
 func (w *World) nodeOfAddr(a packet.Addr) (int, bool) { return w.owners.Lookup(a) }
 
+// mark sets the owner node of a in set, if a has one inside the graph.
+func (w *World) mark(set []bool, a packet.Addr) {
+	if n, ok := w.nodeOfAddr(a); ok && n >= 0 && n < len(set) {
+		set[n] = true
+	}
+}
+
+// members lists the nodes set marks, ascending.
+func members(set []bool) []int {
+	var nodes []int
+	for n, in := range set {
+		if in {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
+}
+
 // Deploy installs the edge ingress-filtering defense at nodes, split by
 // mechanism: in-cone nodes get the packet-level baseline.IngressFilter
 // hook, out-of-cone nodes join the fluid model's deployment (the two
@@ -290,6 +300,7 @@ func (w *World) Start(start, stop sim.Time) error {
 		total += len(inj.members)
 	}
 	pool := make([]sim.Time, 2*total)
+	w.warm = make([]bool, w.Cfg.Graph.Len())
 	var flow flowsim.Flow
 	for _, inj := range w.Injectors {
 		live := inj.members[:0]
@@ -322,12 +333,38 @@ func (w *World) Start(start, stop sim.Time) error {
 		buf := pool[:2*len(live)]
 		pool = pool[2*len(live):]
 		inj.arm(&sub, &scale, start, stop, buf)
+		// Every member left in the heap emits (see Run).
+		for _, s := range inj.heap {
+			m := inj.members[s]
+			src := w.Clients.spoof[m]
+			if src == 0 {
+				src = w.Clients.Addr(int(m))
+			}
+			w.mark(w.warm, src)
+			w.mark(w.warm, w.Clients.dst[m])
+		}
 	}
 	return nil
 }
 
 // Run advances the world to `until` and returns the frontier time.
-func (w *World) Run(until sim.Time) (sim.Time, error) { return w.net.Sim.Run(until) }
+// Before the first step it builds, on every core, the cone routing rows
+// of the source and destination nodes of every member Start armed (the
+// source is the forged address when a member spoofs one): packets are
+// forwarded toward their destination, replies and reflections go back to
+// their source, and uRPF checks look the source up. Any other row is
+// still built on first use. A row is a pure function of the graph, so
+// this moves when rows are built, never what they say.
+func (w *World) Run(until sim.Time) (sim.Time, error) {
+	if w.warm != nil {
+		dsts := members(w.warm)
+		w.warm = nil
+		if err := w.cone.Prebuild(dsts, 0); err != nil {
+			return w.net.Sim.Now(), err
+		}
+	}
+	return w.net.Sim.Run(until)
+}
 
 // Stats returns the packet-level statistics.
 func (w *World) Stats() *netsim.Stats { return w.net.Stats }

@@ -153,28 +153,49 @@ func TestSharedConcurrentReaders(t *testing.T) {
 	}
 }
 
-// Prebuild fills the requested slots in parallel and subsequent lookups
-// are all hits.
+// Prebuild fills the requested slots (in parallel on a Shared), building
+// each destination once, and subsequent lookups are all hits. Destinations
+// are checked before any build: a bad one fails the whole batch.
 func TestSharedPrebuild(t *testing.T) {
 	g, err := topology.BarabasiAlbert(200, 2, sim.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := NewShared(g, nil)
-	dsts := []int{3, 50, 50, 199, 0}
-	if err := sh.Prebuild(dsts, 4); err != nil {
-		t.Fatal(err)
-	}
-	before := sh.Stats().Builds
-	for _, d := range dsts {
-		if _, err := sh.TreeTo(d); err != nil {
+	for _, src := range []Source{NewShared(g, nil), NewTable(g, nil)} {
+		dsts := []int{3, 50, 50, 199, 0}
+		if err := src.Prebuild(dsts, 4); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if after := sh.Stats().Builds; after != before {
-		t.Errorf("lookups after Prebuild built %d more trees", after-before)
-	}
-	if err := sh.Prebuild([]int{-1}, 2); err == nil {
-		t.Error("Prebuild accepted out-of-range destination")
+		before := src.Stats().Builds
+		if before != 4 {
+			t.Errorf("%T: Prebuild of 4 distinct destinations built %d trees", src, before)
+		}
+		for _, d := range dsts {
+			if _, err := src.TreeTo(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := src.Stats().Builds; after != before {
+			t.Errorf("%T: lookups after Prebuild built %d more trees", src, after-before)
+		}
+		if err := src.Prebuild([]int{-1}, 2); err == nil {
+			t.Errorf("%T: Prebuild accepted out-of-range destination", src)
+		}
+		for _, workers := range []int{1, 4} {
+			before := src.Stats().Builds
+			if err := src.Prebuild([]int{7, 8, g.Len(), 9, 10}, workers); err == nil {
+				t.Errorf("%T workers=%d: Prebuild accepted destination %d among valid ones", src, workers, g.Len())
+			}
+			if got := src.Stats().Builds; got != before {
+				t.Errorf("%T workers=%d: rejected batch built %d trees", src, workers, got-before)
+			}
+		}
+		before = src.Stats().Builds
+		if err := src.Prebuild([]int{11, 11, 3, 11}, 4); err != nil {
+			t.Fatal(err)
+		}
+		if got := src.Stats().Builds; got != before+1 {
+			t.Errorf("%T: repeated destination built %d trees, want 1", src, got-before)
+		}
 	}
 }

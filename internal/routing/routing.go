@@ -122,6 +122,13 @@ type Source interface {
 	Invalidate()
 	Builds() int
 	Stats() CacheStats
+	// Prebuild builds, before they are asked for, the routing state
+	// NextHop and FeasibleIngress read for each destination in dsts, on
+	// up to workers goroutines where the implementation is concurrent (0
+	// means GOMAXPROCS). Built state and repeated destinations are
+	// skipped; an out-of-range destination fails the batch before
+	// anything is built. Answers are the same with or without it.
+	Prebuild(dsts []int, workers int) error
 	// View returns a Source for a consumer that only ever forwards from
 	// and filters at the given nodes. Its NextHop(cur, ·) and
 	// FeasibleIngress(at, ·, ·) answer exactly as the receiver's for cur
@@ -273,6 +280,14 @@ func (t *Table) Invalidate() {
 		t.slots[i] = nil
 	}
 	t.invals.Inc()
+}
+
+// Prebuild builds the trees for dsts one after another: a Table belongs
+// to one goroutine, so workers is ignored.
+func (t *Table) Prebuild(dsts []int, _ int) error {
+	return prebuild(len(t.slots), dsts, 1,
+		func(d int) bool { return t.slots[d] != nil },
+		func(d int) error { _, err := t.buildSlot(d); return err })
 }
 
 // View returns the table itself: a Table is private to one simulation

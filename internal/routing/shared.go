@@ -127,45 +127,65 @@ func (s *Shared) putBuilder(b *Builder) {
 // Prebuild constructs the trees for dsts in parallel on up to `workers`
 // goroutines (0 means GOMAXPROCS), so sweeps and the hybrid cone pay tree
 // construction once, up front, on all cores instead of faulting trees in
-// one by one. Destinations already cached are skipped; the first error
-// aborts the batch.
+// one by one. Destinations already cached and repeats are skipped; an
+// out-of-range destination fails the batch before anything is built.
 func (s *Shared) Prebuild(dsts []int, workers int) error {
+	return prebuild(len(s.slots), dsts, workers,
+		func(d int) bool { return s.slots[d].Load() != nil },
+		func(d int) error { _, err := s.buildSlot(d); return err })
+}
+
+// prebuild is the batch loop behind every Prebuild. It checks every
+// destination against [0, n) and drops repeats and those built reports
+// as present before any work starts, then runs build on the rest on up
+// to workers goroutines (0 means GOMAXPROCS). After the first build error
+// no worker takes another destination.
+func prebuild(n int, dsts []int, workers int, built func(int) bool, build func(int) error) error {
+	seen := make([]bool, n)
+	todo := make([]int, 0, len(dsts))
+	for _, d := range dsts {
+		if d < 0 || d >= n {
+			return fmt.Errorf("routing: destination %d out of range [0,%d)", d, n)
+		}
+		if !seen[d] && !built(d) {
+			todo = append(todo, d)
+		}
+		seen[d] = true
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(dsts) {
-		workers = len(dsts)
-	}
-	if workers <= 1 {
-		for _, d := range dsts {
-			if _, err := s.TreeTo(d); err != nil {
+	if workers = min(workers, len(todo)); workers <= 1 {
+		for _, d := range todo {
+			if err := build(d); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		emu  sync.Mutex
-		ferr error
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		emu    sync.Mutex
+		ferr   error
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(dsts) {
+				if i >= len(todo) {
 					return
 				}
-				if _, err := s.TreeTo(dsts[i]); err != nil {
+				if err := build(todo[i]); err != nil {
 					emu.Lock()
 					if ferr == nil {
 						ferr = err
 					}
 					emu.Unlock()
-					return
+					failed.Store(true)
 				}
 			}
 		}()

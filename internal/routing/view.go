@@ -131,6 +131,13 @@ func (v *view) row(dst int) *viewRow {
 		v.s.hits.Inc(dst)
 		return r
 	}
+	r, _ := v.build(dst)
+	return r
+}
+
+// build fills dst's row from the parent's cached tree if there is one,
+// else from a scratch Dijkstra run, and publishes it by CAS.
+func (v *view) build(dst int) (*viewRow, error) {
 	s := v.s
 	r := &viewRow{next: make([]int32, len(v.nodes)), ok: make([]uint64, (len(v.rev)+63)/64)}
 	if tr := s.slots[dst].Load(); tr != nil {
@@ -143,14 +150,24 @@ func (v *view) row(dst int) *viewRow {
 		}
 		s.putBuilder(b)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		s.builds.Inc()
 	}
 	if !v.rows[dst].CompareAndSwap(nil, r) {
 		r = v.rows[dst].Load()
 	}
-	return r
+	return r, nil
+}
+
+// Prebuild fills the rows for dsts on up to `workers` goroutines (0 means
+// GOMAXPROCS), so a packet engine about to fault them in one by one finds
+// them built. Each missing row is built once, exactly as row would build
+// it; published rows and repeats are skipped.
+func (v *view) Prebuild(dsts []int, workers int) error {
+	return prebuild(len(v.rows), dsts, workers,
+		func(d int) bool { return v.rows[d].Load() != nil },
+		func(d int) error { _, err := v.build(d); return err })
 }
 
 // fill copies the set's next hops out of tr and evaluates every set

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -186,4 +187,165 @@ func TestSharedViewConcurrentReaders(t *testing.T) {
 	if b := sh.Stats().Builds; b < uint64(g.Len()) || b > uint64(workers*g.Len()) {
 		t.Fatalf("builds = %d, want within [%d, %d]", b, g.Len(), workers*g.Len())
 	}
+}
+
+// viewAnswers reads every row of vw for the set: the next hop of each set
+// node, then its FeasibleIngress verdict (1 or 0) over each incident
+// half-edge.
+func viewAnswers(g *topology.Graph, vw Source, set []int) []int {
+	var out []int
+	for dst := 0; dst < g.Len(); dst++ {
+		for _, at := range set {
+			n, _ := vw.NextHop(at, dst)
+			out = append(out, n)
+			for _, from := range g.Neighbors(at) {
+				ok := 0
+				if vw.FeasibleIngress(at, from, dst) {
+					ok = 1
+				}
+				out = append(out, ok)
+			}
+		}
+	}
+	return out
+}
+
+// TestSharedViewPrebuildMatchesLazy is Prebuild's differential test: at
+// 1, 2 and 8 workers, on hop-count and tie-heavy weights, prebuilt rows
+// answer exactly as lazily built ones, fresh and after LinkDown and
+// Invalidate. Rows whose tree the parent has cached are copied without a
+// build, each other destination is built once however often dsts repeats
+// it, and readers may query cold rows while Prebuild runs.
+func TestSharedViewPrebuildMatchesLazy(t *testing.T) {
+	for wi, w := range []WeightFunc{nil, intWeight} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("weights%d/workers%d", wi, workers), func(t *testing.T) {
+				checkPrebuildMatchesLazy(t, w, workers)
+			})
+		}
+	}
+}
+
+func checkPrebuildMatchesLazy(t *testing.T, w WeightFunc, workers int) {
+	g, err := topology.BarabasiAlbert(240, 2, sim.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := viewSet(g)
+	// Both caches hold every third destination's full tree, whose rows
+	// are copies. LinkDown repairs those trees in place, and a repaired
+	// tree may break equal-cost ties unlike a fresh build, so the lazy
+	// reference keeps the same trees to copy from.
+	lazyParent, sh := NewShared(g, w), NewShared(g, w)
+	cached := 0
+	for d := 0; d < g.Len(); d += 3 {
+		for _, c := range []*Shared{lazyParent, sh} {
+			if _, err := c.TreeTo(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cached++
+	}
+	lazy := lazyParent.View(set)
+	wantNext := make([]int, 0, g.Len()*len(set))
+	for d := 0; d < g.Len(); d++ {
+		for _, at := range set {
+			n, _ := lazy.NextHop(at, d)
+			wantNext = append(wantNext, n)
+		}
+	}
+
+	vw := sh.View(set)
+	dsts := make([]int, g.Len(), g.Len()+80)
+	for d := range dsts {
+		dsts[d] = d
+	}
+	dsts = append(dsts, dsts[:40]...)
+	dsts = append(dsts, dsts[100:140]...)
+
+	check := func(phase string) {
+		t.Helper()
+		b0 := sh.Stats().Builds
+		got := viewAnswers(g, vw, set)
+		if b := sh.Stats().Builds; b != b0 {
+			t.Fatalf("%s: reading prebuilt rows built %d more", phase, b-b0)
+		}
+		want := viewAnswers(g, lazy, set)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d answers, want %d", phase, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: answer %d is %d, lazily built rows say %d", phase, i, got[i], want[i])
+			}
+		}
+	}
+	// Without racing readers the counts are exact: every uncached
+	// destination is built once, copies and repeats cost nothing.
+	prebuild := func(phase string, wantBuilds int) {
+		t.Helper()
+		b0 := sh.Stats().Builds
+		if err := vw.Prebuild(dsts, workers); err != nil {
+			t.Fatal(err)
+		}
+		if got := sh.Stats().Builds - b0; got != uint64(wantBuilds) {
+			t.Fatalf("%s: Prebuild built %d rows, want %d", phase, got, wantBuilds)
+		}
+		check(phase)
+	}
+
+	// Two readers walk cold rows while Prebuild fills them.
+	before := sh.Stats().Builds
+	var wg sync.WaitGroup
+	var perr error
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		perr = vw.Prebuild(dsts, workers)
+	}()
+	for r := 0; r < 2; r++ {
+		go func() {
+			defer wg.Done()
+			for d := g.Len() - 1; d >= 0; d -= 1 + r {
+				for i, at := range set {
+					if n, _ := vw.NextHop(at, d); n != wantNext[d*len(set)+i] {
+						t.Errorf("racing reader: NextHop(%d, %d) = %d, want %d", at, d, n, wantNext[d*len(set)+i])
+						return
+					}
+					vw.FeasibleIngress(at, g.Neighbors(at)[0], d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if perr != nil {
+		t.Fatal(perr)
+	}
+	if got, lo := sh.Stats().Builds-before, uint64(g.Len()-cached); got < lo || got > 3*lo {
+		t.Fatalf("racing Prebuild: %d builds for %d uncached rows", got, lo)
+	}
+	check("fresh")
+	prebuild("again", 0)
+
+	tr, err := sh.TreeTo(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := set[len(set)/2]
+	for k := 0; a == 0 || tr.Next[a] == NoRoute; k++ {
+		a = set[k]
+	}
+	b := int(tr.Next[a])
+	if !g.RemoveEdge(a, b) {
+		t.Fatalf("edge (%d,%d) not in graph", a, b)
+	}
+	lazy.LinkDown(a, b)
+	vw.LinkDown(a, b)
+	// LinkDown repairs the parent's cached trees in place, so their rows
+	// are copies again.
+	prebuild("after LinkDown", g.Len()-cached)
+
+	lazy.Invalidate()
+	vw.Invalidate()
+	prebuild("after Invalidate", g.Len())
 }
