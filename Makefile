@@ -66,7 +66,8 @@ chaos:
 deploy-smoke:
 	$(GO) test -run 'TestDeploySmoke|TestDeployPortCollision' -count=1 ./internal/deploy
 
-# Short fuzz pass over the wire-format and parser fuzz targets.
+# Short fuzz pass over the wire-format and parser fuzz targets, routing
+# repair, and the event core against a container/heap reference.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzParsePrefix -fuzztime=10s ./internal/packet/
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s ./internal/ctl/
 	$(GO) test -fuzz=FuzzFailLinkRepair -fuzztime=10s ./internal/routing/
+	$(GO) test -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim/
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.

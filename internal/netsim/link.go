@@ -17,29 +17,52 @@ type LinkStats struct {
 
 // link is one direction of an edge: a serializing transmitter with a
 // drop-tail queue, modelled with virtual time rather than explicit queue
-// objects: busyUntil tracks when the transmitter frees up, queued tracks
-// occupancy for the drop-tail bound.
+// objects: busyUntil tracks when the transmitter frees up, and q holds
+// the packets between send and arrival while there are any.
 type link struct {
 	net       *Network
 	from, to  int
 	cfg       LinkConfig
 	busyUntil sim.Time
-	queued    int
+	q         *inflight // nil while idle; pooled per Network
 	stats     LinkStats
 }
 
-// dequeueEvent marks the end of a packet's serialization: the packet
-// leaves the drop-tail queue and begins propagation. Instances are
-// recycled through Network.dqPool so steady-state forwarding allocates
-// nothing per hop.
-type dequeueEvent struct{ l *link }
+// inflight is a busy link's in-flight state. Arrivals wait in one FIFO,
+// so the link holds a single heap entry however many packets it carries.
+// The drop-tail backlog needs no events at all: a packet leaves the queue
+// when its serialization ends, so the backlog is the number of dequeue
+// keys the clock has not yet passed. send stamps a packet's dequeue key
+// just before its arrival key, so an event ordered after that key sees
+// the packet gone and one ordered before it sees it queued, even at the
+// same instant.
+type inflight struct {
+	arr   *sim.FIFO
+	dq    []sim.Key // dequeue keys in send order; dq[first:] not yet seen passed
+	first int
+}
 
-// Fire implements sim.Event.
-func (e *dequeueEvent) Fire(now sim.Time) {
-	l := e.l
-	e.l = nil
-	l.net.dqPool = append(l.net.dqPool, e)
-	l.queued--
+// backlog drops the dequeue keys the clock has passed and returns how many
+// packets are still queued for serialization.
+func (q *inflight) backlog(s *sim.Simulation) int {
+	for q.first < len(q.dq) && s.Passed(q.dq[q.first]) {
+		q.first++
+	}
+	if q.first == len(q.dq) {
+		q.dq, q.first = q.dq[:0], 0
+	}
+	return len(q.dq) - q.first
+}
+
+// pushDequeue records the dequeue key of a packet that entered the queue.
+// Passed keys are slid out once they are at least half the slice, so it
+// stays within about twice the queue capacity.
+func (q *inflight) pushDequeue(k sim.Key) {
+	if n := len(q.dq); n == cap(q.dq) && q.first >= n/2 {
+		m := copy(q.dq, q.dq[q.first:])
+		q.dq, q.first = q.dq[:m], 0
+	}
+	q.dq = append(q.dq, k)
 }
 
 // arrivalEvent carries a forwarded packet across a link's propagation
@@ -53,18 +76,16 @@ type arrivalEvent struct {
 func (e *arrivalEvent) Fire(now sim.Time) {
 	l, pkt := e.l, e.pkt
 	e.l, e.pkt = nil, nil
-	l.net.arrPool = append(l.net.arrPool, e)
-	l.net.inject(now, pkt, l.to, l.from)
-}
-
-func (n *Network) newDequeue(l *link) *dequeueEvent {
-	if k := len(n.dqPool); k > 0 {
-		e := n.dqPool[k-1]
-		n.dqPool = n.dqPool[:k-1]
-		e.l = l
-		return e
+	n := l.net
+	n.arrPool = append(n.arrPool, e)
+	// A link goes idle once nothing waits in its FIFO or its queue. (An
+	// arrival that bypassed the FIFO, after a lowered Delay, may still be
+	// on the heap; it carries its own packet and needs no state here.)
+	if q := l.q; q != nil && q.arr.Len() == 0 && q.backlog(n.Sim) == 0 {
+		l.q = nil
+		n.qPool = append(n.qPool, q)
 	}
-	return &dequeueEvent{l: l}
+	n.inject(now, pkt, l.to, l.from)
 }
 
 func (n *Network) newArrival(l *link, pkt *packet.Packet) *arrivalEvent {
@@ -77,6 +98,20 @@ func (n *Network) newArrival(l *link, pkt *packet.Packet) *arrivalEvent {
 	return &arrivalEvent{l: l, pkt: pkt}
 }
 
+// busy returns l's in-flight state, taking one from the pool if l is idle.
+func (l *link) busy() *inflight {
+	if l.q == nil {
+		n := l.net
+		if k := len(n.qPool); k > 0 {
+			l.q = n.qPool[k-1]
+			n.qPool = n.qPool[:k-1]
+		} else {
+			l.q = &inflight{arr: n.Sim.NewFIFO()}
+		}
+	}
+	return l.q
+}
+
 // txTime returns the serialization time of sz bytes at the link rate.
 func (l *link) txTime(sz int) sim.Time {
 	return sim.Time(float64(sz*8) / l.cfg.Bandwidth * float64(sim.Second))
@@ -84,12 +119,13 @@ func (l *link) txTime(sz int) sim.Time {
 
 // send enqueues pkt for transmission; drops it if the queue is full.
 func (l *link) send(now sim.Time, pkt *packet.Packet) {
-	if l.queued >= l.cfg.QueueCap {
+	q := l.busy()
+	s := l.net.Sim
+	if q.backlog(s) >= l.cfg.QueueCap {
 		l.net.drop(now, pkt, DropQueue, l.from)
 		l.stats.QueueDrops++
 		return
 	}
-	l.queued++
 	start := now
 	if l.busyUntil > start {
 		start = l.busyUntil
@@ -104,10 +140,11 @@ func (l *link) send(now sim.Time, pkt *packet.Packet) {
 	}
 	l.net.Stats.addHop(pkt)
 
-	// Absolute scheduling: `now` may legitimately lie ahead of the
-	// simulation clock when callers pre-inject future traffic. The two
-	// events (dequeue at serialization end, arrival one propagation delay
-	// later) come from free lists rather than fresh closures.
-	l.net.Sim.At(done, l.net.newDequeue(l))
-	l.net.Sim.At(done+l.cfg.Delay, l.net.newArrival(l, pkt))
+	// Absolute keys: `now` may legitimately lie ahead of the simulation
+	// clock when callers pre-inject future traffic. The dequeue key (end
+	// of serialization) is only ever compared against the clock; the
+	// arrival, one propagation delay later, queues behind the link's
+	// earlier arrivals.
+	q.pushDequeue(s.Stamp(done))
+	q.arr.Append(s.Stamp(done+l.cfg.Delay), l.net.newArrival(l, pkt))
 }

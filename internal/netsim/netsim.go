@@ -108,13 +108,18 @@ type Network struct {
 	dropObs  []func(now sim.Time, pkt *packet.Packet, reason DropReason, node int)
 	routeObs []func()
 
-	// Free lists for the per-packet event objects (link dequeue, link
-	// arrival, server completion). The simulator is single-threaded, so a
-	// plain slice recycled in Fire keeps the hot path allocation-free
-	// without sync.Pool's overhead or its nondeterministic emptying.
-	dqPool    []*dequeueEvent
+	// Free lists for the per-packet event objects (link arrival, server
+	// completion) and for busy links' in-flight state. The simulator is
+	// single-threaded, so a plain slice recycled in Fire keeps the hot
+	// path allocation-free without sync.Pool's overhead or its
+	// nondeterministic emptying.
 	arrPool   []*arrivalEvent
 	servePool []*serveEvent
+	qPool     []*inflight
+
+	// cbr holds one FIFO per constant-rate period: every source with that
+	// period reschedules through it (see StartCBR).
+	cbr map[sim.Time]*sim.FIFO
 
 	// Reusable scratch for InjectBatch (survivor compaction + verdicts).
 	// Taken out of the struct while in use so a re-entrant call (a hook or

@@ -565,10 +565,14 @@ func TestPacketPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// Once routing trees, event free lists and the event heap have reached
-// their high-water marks, forwarding must not allocate: a closed relay
-// ring over the hubs keeps the packet population constant, so every
-// further window of simulated time exercises the same per-hop path.
+// Once routing trees, event free lists, pooled link queues and the event
+// heap have reached their high-water marks, forwarding must not allocate:
+// a closed relay ring over the hubs keeps the packet population constant,
+// so every further window of simulated time exercises the same per-hop
+// path. Alongside it, constant-rate sources on stub nodes send pooled
+// packets to a sink over links that drain between packets, so links keep
+// going idle -> busy -> idle, taking in-flight state from the pool and
+// returning it, and the sources' shared FIFO keeps cycling.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	g, err := topology.BarabasiAlbert(300, 2, sim.NewRNG(7))
 	if err != nil {
@@ -579,7 +583,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hubs := g.NodesByDegree()[:24]
+	byDegree := g.NodesByDegree()
+	hubs := byDegree[:24]
 	hosts := make([]*Host, len(hubs))
 	for i, node := range hubs {
 		if hosts[i], err = n.AttachHost(node); err != nil {
@@ -598,19 +603,54 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			h.Send(sim.Time(k)*sim.Microsecond, p)
 		}
 	}
+	// 200 pps through 1ms links: a source's first link carries one packet
+	// for 1ms out of every 5ms, the phases keeping it idle at multiples
+	// of 10ms.
+	sink, err := n.AttachHost(hubs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Recv = func(_ sim.Time, pkt *packet.Packet) { n.PutPacket(pkt) }
+	stubs := byDegree[len(byDegree)-16:]
+	for i, node := range stubs {
+		h, err := n.AttachHost(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.StartCBR(2*sim.Millisecond+sim.Time(i)*100*sim.Microsecond, 200, func(uint64) *packet.Packet {
+			p := n.GetPacket()
+			p.Src, p.Dst, p.Kind, p.Size = h.Addr, sink.Addr, packet.KindAttack, 400
+			return p
+		})
+	}
+	hop, ok := n.Table.NextHop(stubs[0], sink.Node)
+	if !ok {
+		t.Fatal("no route from a stub to the sink")
+	}
+	first := n.links[[2]int{stubs[0], hop}] // idle at every window's end
 	until := 200 * sim.Millisecond
 	if _, err := s.Run(until); err != nil {
 		t.Fatal(err)
 	}
 	delivered := n.Stats.Delivered[packet.KindLegit].Packets
+	sunk := n.Stats.Delivered[packet.KindAttack].Packets
+	carried := first.stats.Packets
+	idle := 0
 	avg := testing.AllocsPerRun(20, func() {
 		until += 10 * sim.Millisecond
 		if _, err := s.Run(until); err != nil {
 			t.Fatal(err)
 		}
+		if first.q == nil {
+			idle++
+		}
 	})
 	if n.Stats.Delivered[packet.KindLegit].Packets == delivered {
 		t.Fatal("relay ring delivered nothing while measured")
+	}
+	if n.Stats.Delivered[packet.KindAttack].Packets == sunk || first.stats.Packets == carried || idle == 0 {
+		t.Fatalf("constant-rate traffic did not cycle a link idle -> busy -> idle (%d carried, idle at %d window ends)",
+			first.stats.Packets-carried, idle)
 	}
 	if avg != 0 {
 		t.Errorf("steady-state forwarding allocates %v per 10ms window, want 0", avg)

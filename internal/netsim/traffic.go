@@ -22,6 +22,12 @@ func (s *Source) Stop() { s.stopped = true }
 
 // StartCBR emits packets at a constant rate (packets/second) starting at
 // `start`, until Stop is called or the simulation ends.
+//
+// The first tick is an ordinary event, so staggered starts cost nothing
+// extra. Every later tick is stamped one period after the tick that
+// schedules it, and ticks fire in key order, so all sources sharing a
+// period reschedule in key order too: they share one FIFO and occupy one
+// heap entry between them.
 func (h *Host) StartCBR(start sim.Time, rate float64, mk func(i uint64) *packet.Packet) *Source {
 	if rate <= 0 {
 		panic("netsim: CBR rate must be positive")
@@ -31,6 +37,7 @@ func (h *Host) StartCBR(start sim.Time, rate float64, mk func(i uint64) *packet.
 	if interval < 1 {
 		interval = 1
 	}
+	next := h.net.cbrFIFO(interval)
 	var tick func(now sim.Time)
 	tick = func(now sim.Time) {
 		if s.stopped {
@@ -39,10 +46,24 @@ func (h *Host) StartCBR(start sim.Time, rate float64, mk func(i uint64) *packet.
 		pkt := s.make(s.sent)
 		s.sent++
 		h.Send(now, pkt)
-		h.net.Sim.AfterFunc(interval, tick)
+		next.Append(h.net.Sim.Stamp(now+interval), sim.EventFunc(tick))
 	}
 	h.net.Sim.At(start, sim.EventFunc(tick))
 	return s
+}
+
+// cbrFIFO returns the FIFO constant-rate sources with period interval
+// reschedule through.
+func (n *Network) cbrFIFO(interval sim.Time) *sim.FIFO {
+	f := n.cbr[interval]
+	if f == nil {
+		if n.cbr == nil {
+			n.cbr = make(map[sim.Time]*sim.FIFO)
+		}
+		f = n.Sim.NewFIFO()
+		n.cbr[interval] = f
+	}
+	return f
 }
 
 // StartPoisson emits packets with exponential inter-arrival times at the

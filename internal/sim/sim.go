@@ -5,8 +5,8 @@
 // scheduled events, a simulation produces bit-identical results on every
 // run. To guarantee this the engine
 //
-//   - orders events by (time, sequence number), so simultaneous events fire
-//     in scheduling order,
+//   - orders events by their Key, (time, sequence number), so simultaneous
+//     events fire in scheduling order,
 //   - hands out random numbers only through the per-simulation *RNG*
 //     (a seeded PCG; the math/rand global generator is never used), and
 //   - never consults wall-clock time.
@@ -23,6 +23,15 @@
 // marks the event's slot dead and the entry is discarded when it reaches
 // the top of the heap — so Handle stays a value and the heap never needs
 // random removal.
+//
+// Streams of events whose keys are stamped in firing order — a link's
+// packet arrivals, the reschedules of every constant-rate source sharing
+// one period — need not each occupy the heap. Stamp reserves a key at the
+// point At would have, and a FIFO parks such events behind one heap entry
+// keyed by its head, so the heap holds one entry per stream and every
+// event still fires at its own key. Passed answers whether a key is
+// already behind the clock, which lets a caller count pending work (a
+// link's drop-tail backlog) without scheduling an event for it.
 package sim
 
 import (
@@ -72,12 +81,27 @@ func (f EventFunc) Fire(now Time) { f(now) }
 // one or two cache lines, which wins on the push-heavy workloads here.
 const heapArity = 4
 
+// Key is an event's place in the global firing order: events fire by
+// time, and simultaneous events in the order their keys were stamped.
+type Key struct {
+	At  Time
+	Seq uint64
+}
+
+// Less reports whether k fires before o.
+func (k Key) Less(o Key) bool {
+	if k.At != o.At {
+		return k.At < o.At
+	}
+	return k.Seq < o.Seq
+}
+
 // entry is one scheduled event, stored by value inside the heap. Pushes and
 // pops move entries; nothing is allocated per event.
 type entry struct {
 	at   Time
 	seq  uint64 // tie-breaker: FIFO among simultaneous events
-	slot int32  // index into Simulation.slots for cancellation state
+	slot int32  // index into Simulation.slots for cancellation state; -1 = not cancellable
 	ev   Event
 }
 
@@ -119,10 +143,11 @@ func (h Handle) Cancelled() bool {
 type Simulation struct {
 	now     Time
 	seq     uint64
+	horizon Key       // every key before it has passed (see Passed)
 	queue   []entry   // 4-ary heap ordered by (at, seq)
 	slots   []slotRec // liveness per scheduled event
 	free    []int32   // recycled slot indices
-	live    int       // scheduled, not yet fired or cancelled
+	live    int       // scheduled (FIFO-parked included), not yet fired or cancelled
 	rng     *RNG
 	stopped bool
 	fired   uint64
@@ -146,8 +171,9 @@ func (s *Simulation) Now() Time { return s.now }
 // RNG returns the simulation's deterministic random source.
 func (s *Simulation) RNG() *RNG { return s.rng }
 
-// Pending returns the number of events waiting in the queue (cancelled
-// events are excluded even if not yet discarded from the heap).
+// Pending returns the number of events waiting to fire, including those
+// parked behind a FIFO's head (cancelled events are excluded even if not
+// yet discarded from the heap).
 func (s *Simulation) Pending() int { return s.live }
 
 // Fired returns the total number of events that have fired so far.
@@ -192,7 +218,9 @@ func (s *Simulation) push(e entry) {
 // with a single sift-down of the former tail entry.
 func (s *Simulation) popTop() {
 	q := s.queue
-	s.freeSlot(q[0].slot)
+	if q[0].slot >= 0 {
+		s.freeSlot(q[0].slot)
+	}
 	n := len(q) - 1
 	last := q[n]
 	q[n] = entry{} // release the Event reference
@@ -201,6 +229,14 @@ func (s *Simulation) popTop() {
 	if n == 0 {
 		return
 	}
+	s.siftDown(last)
+}
+
+// siftDown places e in the root's hole, moving smaller children up until
+// heap order holds again.
+func (s *Simulation) siftDown(last entry) {
+	q := s.queue
+	n := len(q)
 	i := 0
 	for {
 		c := i*heapArity + 1
@@ -238,6 +274,35 @@ func (s *Simulation) At(at Time, ev Event) Handle {
 	s.seq++
 	s.live++
 	return Handle{s: s, slot: slot, gen: gen}
+}
+
+// Stamp reserves the key of an event at absolute time at, taking the
+// sequence number At would take at this point. The caller may Schedule the
+// key later, Append it to a FIFO, or only ask whether it has Passed.
+// Stamping in the past panics, like At.
+func (s *Simulation) Stamp(at Time) Key {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: stamping key at %v before now %v", at, s.now))
+	}
+	k := Key{At: at, Seq: s.seq}
+	s.seq++
+	return k
+}
+
+// Passed reports whether an event with key k has already fired, or for a
+// key that was never scheduled, whether it would have: k lies behind the
+// last event fired, or behind the deadline of a Run that stopped there. It
+// is false before anything has fired.
+func (s *Simulation) Passed(k Key) bool { return k.Less(s.horizon) }
+
+// Schedule queues ev at a key stamped earlier. The key must not have
+// Passed. Scheduled events cannot be cancelled.
+func (s *Simulation) Schedule(k Key, ev Event) {
+	if s.Passed(k) {
+		panic(fmt.Sprintf("sim: scheduling key %v/%d that has already passed", k.At, k.Seq))
+	}
+	s.push(entry{at: k.At, seq: k.Seq, slot: -1, ev: ev})
+	s.live++
 }
 
 // After schedules ev to fire d after the current time.
@@ -289,7 +354,7 @@ func IsEventLimit(err error) bool {
 func (s *Simulation) next() *entry {
 	for len(s.queue) > 0 {
 		top := &s.queue[0]
-		if !s.slots[top.slot].cancelled {
+		if top.slot < 0 || !s.slots[top.slot].cancelled {
 			return top
 		}
 		s.popTop()
@@ -297,14 +362,36 @@ func (s *Simulation) next() *entry {
 	return nil
 }
 
-// fire pops the live root entry and runs it.
+// fire pops the live root entry and runs it. A FIFO's entry fires the
+// FIFO's head; when another item waits behind it the root is rekeyed in
+// place and sifted down, one pass instead of a pop and a push.
 func (s *Simulation) fire(top *entry) {
 	at, ev := top.at, top.ev
-	s.popTop()
 	s.now = at
+	s.horizon = Key{At: at, Seq: top.seq + 1}
 	s.live--
 	s.fired++
-	ev.Fire(s.now)
+	if f, ok := ev.(*fifoEvent); ok {
+		ev = (*FIFO)(f).pop()
+		if next, more := (*FIFO)(f).head(); more {
+			e := *top
+			e.at, e.seq = next.At, next.Seq
+			s.siftDown(e)
+		} else {
+			s.popTop()
+		}
+	} else {
+		s.popTop()
+	}
+	ev.Fire(at)
+}
+
+// passUntil records that Run has advanced the clock to until: every key
+// stamped so far at or before until counts as passed.
+func (s *Simulation) passUntil(until Time) {
+	if h := (Key{At: until, Seq: s.seq}); s.horizon.Less(h) {
+		s.horizon = h
+	}
 }
 
 // Run executes events in order until the queue empties, Stop is called, or
@@ -322,6 +409,7 @@ func (s *Simulation) Run(until Time) (Time, error) {
 		}
 		if top.at > until {
 			s.now = until
+			s.passUntil(until)
 			return s.now, nil
 		}
 		if s.EventLimit != 0 && s.fired >= s.EventLimit {
@@ -331,6 +419,7 @@ func (s *Simulation) Run(until Time) (Time, error) {
 	}
 	if s.live == 0 && s.now < until && until != MaxTime && !s.stopped {
 		s.now = until
+		s.passUntil(until)
 	}
 	return s.now, nil
 }

@@ -325,25 +325,44 @@ func TestHandleInvalidAfterFire(t *testing.T) {
 }
 
 // The AfterFunc+Run steady state must not allocate: scheduling reuses
-// queue capacity and liveness slots, and firing pops by value.
+// queue capacity and liveness slots, and firing pops by value. FIFO
+// appends — in order, out of order (straight to the heap) and from inside
+// a FIFO event — reuse the FIFO's backing array.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	s := New(1)
-	fn := func(Time) {}
-	for i := 0; i < 64; i++ {
-		s.AfterFunc(Time(i)*Microsecond, fn)
+	f := s.NewFIFO()
+	fn := EventFunc(func(Time) {})
+	var resched EventFunc
+	n := 0
+	resched = func(now Time) {
+		if n++; n%4 != 0 {
+			f.Append(s.Stamp(now+Microsecond), resched)
+		}
 	}
-	if _, err := s.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
+	round := func() {
 		s.AfterFunc(Microsecond, fn)
 		s.AfterFunc(2*Microsecond, fn)
+		now := s.Now()
+		f.Append(s.Stamp(now+Microsecond), fn)
+		f.Append(s.Stamp(now+3*Microsecond), resched)
+		f.Append(s.Stamp(now+2*Microsecond), fn) // earlier than the tail
+		for i := 0; i < 8; i++ {
+			f.Append(s.Stamp(now+Time(4+i)*Microsecond), fn)
+		}
 		if _, err := s.RunAll(); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	for i := 0; i < 64; i++ {
+		s.AfterFunc(Time(i)*Microsecond, fn)
+	}
+	round()
+	avg := testing.AllocsPerRun(200, round)
 	if avg != 0 {
-		t.Errorf("AfterFunc+Run steady state allocates %v per op, want 0", avg)
+		t.Errorf("AfterFunc/FIFO+Run steady state allocates %v per op, want 0", avg)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("pending = %d after RunAll", s.Pending())
 	}
 }
 
