@@ -67,7 +67,8 @@ deploy-smoke:
 	$(GO) test -run 'TestDeploySmoke|TestDeployPortCollision' -count=1 ./internal/deploy
 
 # Short fuzz pass over the wire-format and parser fuzz targets, routing
-# repair, and the event core against a container/heap reference.
+# repair, the event core against a container/heap reference, and random
+# hostile service graphs on the device (§4.5 invariants, batch == single).
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzParsePrefix -fuzztime=10s ./internal/packet/
@@ -77,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s ./internal/ctl/
 	$(GO) test -fuzz=FuzzFailLinkRepair -fuzztime=10s ./internal/routing/
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim/
+	$(GO) test -fuzz=FuzzDeviceGraphs -fuzztime=10s ./internal/device/
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.

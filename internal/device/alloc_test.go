@@ -36,7 +36,7 @@ func TestProcessFastPathZeroAllocs(t *testing.T) {
 
 // twoStageDevice builds the canonical fused-pipeline workload: a source
 // owner with a filter+rate-limit chain and a destination owner with a
-// stats chain, so a 10/8 -> 20/8 packet runs both compiled stages.
+// stats chain, so a 10/8 -> 20/8 packet runs both stages.
 func twoStageDevice(t testing.TB) *device.Device {
 	t.Helper()
 	dev := device.New(0, modules.NewRegistry(), sim.NewRNG(1))
@@ -61,7 +61,7 @@ func twoStageDevice(t testing.TB) *device.Device {
 }
 
 // The full two-stage redirected path — owner lookups, pipeline cache hit,
-// two compiled programs — must be allocation-free once warm.
+// two frozen-graph walks — must be allocation-free once warm.
 func TestProcessTwoStageZeroAllocs(t *testing.T) {
 	dev := twoStageDevice(t)
 	p := &packet.Packet{

@@ -13,8 +13,7 @@ import (
 type service struct {
 	owner       string
 	stage       Stage
-	graph       *Graph
-	prog        *program // compiled form, built at install time
+	graph       frozen // private copy taken at install time
 	enabled     bool
 	quarantined bool
 	processed   uint64
@@ -48,10 +47,9 @@ type pipeline struct {
 // Device is an adaptive traffic processing device attached to one router
 // (paper Figure 2/6). It dispatches each redirected packet through up to
 // two owner service graphs: the source owner's, then the destination
-// owner's. Graphs are compiled to flat programs at install time and the
-// two stages are fused into a per-(srcOwner, dstOwner) pipeline cache, so
-// the steady-state redirected path is one cache hit plus linear opcode
-// walks, with zero allocations.
+// owner's. The two stages are fused into a per-(srcOwner, dstOwner)
+// pipeline cache, so the steady-state redirected path is one cache hit
+// plus a walk of each stage's frozen graph, with zero allocations.
 type Device struct {
 	Node int
 
@@ -60,7 +58,6 @@ type Device struct {
 	services map[string][numStages]*service
 	pipes    map[pipeKey]*pipeline
 	gen      uint64 // bumped on every pipeline invalidation
-	interp   bool   // force interpreter (ablations, differential tests)
 	rpf      RPFChecker
 	bus      func(Event)
 	rng      *sim.RNG
@@ -105,14 +102,6 @@ func (d *Device) SetRPF(r RPFChecker) { d.rpf = r }
 // SetEventBus attaches the control-plane event sink (trigger firings etc.).
 func (d *Device) SetEventBus(fn func(Event)) { d.bus = fn }
 
-// SetInterpreted forces graph interpretation instead of compiled-program
-// execution. The two are behaviourally identical (the differential fuzzer
-// asserts it); the knob exists for the A2 ablation and for tests.
-func (d *Device) SetInterpreted(on bool) {
-	d.interp = on
-	d.invalidate()
-}
-
 // invalidate drops every cached pipeline after a control-plane change.
 // The generation counter lets ProcessBatch notice invalidation mid-batch
 // (a quarantine fired by the safety monitor) and re-resolve.
@@ -138,8 +127,10 @@ func (d *Device) BindOwner(p packet.Prefix, owner string) error {
 // UnbindOwner removes a redirection binding.
 func (d *Device) UnbindOwner(p packet.Prefix) { d.owners.Remove(p) }
 
-// Install validates, compiles and installs a service graph for owner at
-// stage, replacing any previous graph for that (owner, stage).
+// Install validates a service graph and installs a frozen copy of it for
+// owner at stage, replacing any previous graph for that (owner, stage).
+// The copy shares g's components, so their runtime state and parameters
+// stay live, but later Add or Wire calls on g do not reach the device.
 func (d *Device) Install(owner string, stage Stage, g *Graph) error {
 	if owner == "" {
 		return fmt.Errorf("device: empty owner")
@@ -147,11 +138,12 @@ func (d *Device) Install(owner string, stage Stage, g *Graph) error {
 	if stage >= numStages {
 		return fmt.Errorf("device: invalid stage %d", stage)
 	}
-	if err := g.Validate(d.reg); err != nil {
+	f, err := g.freeze(d.reg)
+	if err != nil {
 		return err
 	}
 	svcs := d.services[owner]
-	svcs[stage] = &service{owner: owner, stage: stage, graph: g, prog: compile(g), enabled: true}
+	svcs[stage] = &service{owner: owner, stage: stage, graph: f, enabled: true}
 	d.services[owner] = svcs
 	d.invalidate()
 	return nil
@@ -276,59 +268,50 @@ func (d *Device) ProcessBatch(now sim.Time, pkts []*packet.Packet, from int, kee
 			keep[i] = true
 			continue
 		}
-		srcOwner, srcBound := owners.Lookup(pkt.Src)
-		dstOwner, dstBound := owners.Lookup(pkt.Dst)
-		if !srcBound && !dstBound {
+		key, ok := d.ownerKey(pkt, owners)
+		if !ok {
 			keep[i] = true
 			continue
-		}
-		d.stats.Redirected++
-		var key pipeKey
-		if srcBound {
-			key.src = srcOwner
-		}
-		if dstBound {
-			key.dst = dstOwner
 		}
 		if !haveKey || key != lastKey || d.gen != lastGen {
 			lastPl = d.pipelineFor(key)
 			lastKey, lastGen, haveKey = key, d.gen, true
 		}
-		ok := true
-		if lastPl.src != nil {
-			ok = d.runService(now, pkt, from, lastPl.src)
-		}
-		if ok && lastPl.dst != nil {
-			ok = d.runService(now, pkt, from, lastPl.dst)
-		}
-		keep[i] = ok
+		keep[i] = d.runPipeline(now, pkt, from, lastPl)
 	}
 }
 
 // redirect handles the slow path: full owner lookups, pipeline cache hit,
 // and up to two stage runs.
 func (d *Device) redirect(now sim.Time, pkt *packet.Packet, from int, owners *ownership.Compiled[string]) bool {
+	key, ok := d.ownerKey(pkt, owners)
+	if !ok {
+		return true
+	}
+	return d.runPipeline(now, pkt, from, d.pipelineFor(key))
+}
+
+// ownerKey resolves the owners of pkt's source and destination addresses.
+// It reports false when neither is bound (the packet is not redirected);
+// otherwise it counts the redirection and returns the pipeline key, with
+// "" on an unbound side.
+func (d *Device) ownerKey(pkt *packet.Packet, owners *ownership.Compiled[string]) (pipeKey, bool) {
 	srcOwner, srcBound := owners.Lookup(pkt.Src)
 	dstOwner, dstBound := owners.Lookup(pkt.Dst)
 	if !srcBound && !dstBound {
-		return true
+		return pipeKey{}, false
 	}
 	d.stats.Redirected++
-	var key pipeKey
-	if srcBound {
-		key.src = srcOwner
-	}
-	if dstBound {
-		key.dst = dstOwner
-	}
-	pl := d.pipelineFor(key)
+	return pipeKey{src: srcOwner, dst: dstOwner}, true
+}
+
+// runPipeline runs pkt through pl's source stage, then its dest stage
+// unless the first discarded it, and returns the verdict.
+func (d *Device) runPipeline(now sim.Time, pkt *packet.Packet, from int, pl *pipeline) bool {
 	if pl.src != nil && !d.runService(now, pkt, from, pl.src) {
 		return false
 	}
-	if pl.dst != nil && !d.runService(now, pkt, from, pl.dst) {
-		return false
-	}
-	return true
+	return pl.dst == nil || d.runService(now, pkt, from, pl.dst)
 }
 
 // pipelineFor returns the cached fused pipeline for key, resolving and
@@ -363,9 +346,7 @@ func (d *Device) runnable(owner string, stage Stage) *service {
 	return svc
 }
 
-// runService executes one owner's graph under the runtime safety monitor,
-// through the compiled program when available (the interpreter is kept as
-// a fallback and as the differential-testing reference).
+// runService executes one owner's graph under the runtime safety monitor.
 func (d *Device) runService(now sim.Time, pkt *packet.Packet, from int, svc *service) bool {
 	env := &d.env
 	*env = Env{
@@ -379,13 +360,7 @@ func (d *Device) runService(now sim.Time, pkt *packet.Packet, from int, svc *ser
 	preSrc, preDst, preTTL, preSize := pkt.Src, pkt.Dst, pkt.TTL, pkt.Size
 
 	svc.processed++
-	var res Result
-	var capErr error
-	if svc.prog != nil && !d.interp {
-		res, capErr = svc.prog.exec(pkt, env)
-	} else {
-		res, capErr = svc.graph.run(pkt, env)
-	}
+	res, capErr := svc.graph.run(pkt, env)
 
 	violated := capErr != nil || pkt.Src != preSrc || pkt.Dst != preDst || pkt.TTL != preTTL ||
 		pkt.Size > preSize || pkt.Validate() != nil

@@ -596,3 +596,61 @@ func TestCapabilityAllowsDeclaredBehaviour(t *testing.T) {
 		t.Error("declared payload modification flagged as violation")
 	}
 }
+
+// TestInstallFreezesGraph edits a graph through the caller's *Graph after
+// Install: the device must keep running the graph it validated, with
+// capability checks intact.
+func TestInstallFreezesGraph(t *testing.T) {
+	for _, target := range []string{"test-pass", "unregistered"} {
+		t.Run(target, func(t *testing.T) {
+			d := New(0, testRegistry(t), sim.NewRNG(1))
+			var events []Event
+			d.SetEventBus(func(e Event) { events = append(events, e) })
+			if err := d.BindOwner(packet.MustParsePrefix("10.0.0.0/8"), "o"); err != nil {
+				t.Fatal(err)
+			}
+			var entered int
+			g := Chain("g", &testComp{name: "entry", typ: "test-pass", ports: 1,
+				process: func(*packet.Packet, *Env) (int, Result) { entered++; return 0, Forward }})
+			if err := d.Install("o", StageDest, g); err != nil {
+				t.Fatal(err)
+			}
+
+			// "test-pass" lacks MayDrop; "unregistered" was never reviewed.
+			// Either dropper, if it ran, would discard every packet.
+			var dropped int
+			dropper := func(typ string) *testComp {
+				return &testComp{name: typ + "-dropper", typ: typ, ports: 1,
+					process: func(*packet.Packet, *Env) (int, Result) { dropped++; return 0, Discard }}
+			}
+			noDrop := g.Add(dropper("test-pass"))
+			unregistered := g.Add(dropper("unregistered"))
+			to := noDrop
+			if target == "unregistered" {
+				to = unregistered
+			}
+			if err := g.Wire(0, 0, to); err != nil {
+				t.Fatal(err)
+			}
+
+			const n = 5
+			for i := 0; i < n; i++ {
+				if !d.Process(sim.Time(i), mkPkt("1.1.1.1", "10.0.0.1"), Local) {
+					t.Fatalf("packet %d dropped by a node added after install", i)
+				}
+			}
+			if entered != n || dropped != 0 {
+				t.Errorf("entry ran %d times, added nodes %d; want %d and 0", entered, dropped, n)
+			}
+			if want := (Stats{Seen: n, Redirected: n}); d.Stats() != want {
+				t.Errorf("stats = %+v, want %+v", d.Stats(), want)
+			}
+			if len(events) != 0 || d.Quarantined("o", StageDest) {
+				t.Errorf("events = %v, quarantined = %v", events, d.Quarantined("o", StageDest))
+			}
+			if processed, discarded, _ := d.ServiceCounters("o", StageDest); processed != n || discarded != 0 {
+				t.Errorf("service counters = %d/%d, want %d/0", processed, discarded, n)
+			}
+		})
+	}
+}

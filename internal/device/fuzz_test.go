@@ -8,6 +8,7 @@ package device_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,16 +230,14 @@ func samePacket(a, b *packet.Packet) bool {
 // buildDifferentialDevice constructs a device from seed: two owners with
 // random graphs on both stages, optionally a hostile (safety-violating)
 // module on the second owner's dest stage. Called twice with the same seed
-// it produces behaviourally identical devices; the interpreted flag selects
-// the execution engine.
-func buildDifferentialDevice(seed uint64, size int, hostile, interpreted bool) (*device.Device, *[]device.Event, error) {
+// it produces behaviourally identical devices.
+func buildDifferentialDevice(seed uint64, size int, hostile bool) (*device.Device, *[]device.Event, error) {
 	rng := sim.NewRNG(seed)
 	reg := modules.NewRegistry()
 	if err := reg.Register(device.Manifest{Type: "hostile", MayModifyPayload: true, SecurityChecked: true}); err != nil {
 		return nil, nil, err
 	}
 	dev := device.New(0, reg, rng.Fork())
-	dev.SetInterpreted(interpreted)
 	events := &[]device.Event{}
 	dev.SetEventBus(func(e device.Event) { *events = append(*events, e) })
 	if err := dev.BindOwner(packet.MustParsePrefix("10.0.0.0/8"), "owner"); err != nil {
@@ -284,72 +283,59 @@ func differentialPacket(rng *sim.RNG) *packet.Packet {
 	return p
 }
 
-// TestFuzzDifferentialCompiledVsInterpreted is the compiler's correctness
-// oracle: the same random service graphs are executed over the same random
-// packet stream by the interpreter and by the compiled flat programs, and
-// every observable — verdict, resulting packet bytes, device counters,
-// per-service counters, emitted events — must match exactly.
-func TestFuzzDifferentialCompiledVsInterpreted(t *testing.T) {
-	f := func(seed uint64, sizeRaw, pktsRaw uint8, hostile bool) bool {
-		size := 1 + int(sizeRaw)%8
-		nPkts := 1 + int(pktsRaw)%64
+// checkBatchVsSingle builds two identical devices from seed, feeds the same
+// packet stream to one through Process and to the other through
+// ProcessBatch, and reports the first difference: a packet that broke a
+// §4.5 rule (src/dst/TTL changed, size grown, invalid), or a divergence in
+// verdicts, packets, Stats, per-service counters or events.
+func checkBatchVsSingle(seed uint64, sizeRaw, pktsRaw uint8, hostile bool) error {
+	size := 1 + int(sizeRaw)%8
+	nPkts := 1 + int(pktsRaw)%64
 
-		devI, evI, err := buildDifferentialDevice(seed, size, hostile, true)
-		if err != nil {
-			return false
-		}
-		devC, evC, err := buildDifferentialDevice(seed, size, hostile, false)
-		if err != nil {
-			return false
-		}
-
-		pktRNG := sim.NewRNG(seed ^ 0x9E3779B97F4A7C15)
-		now := sim.Time(0)
-		for i := 0; i < nPkts; i++ {
-			p := differentialPacket(pktRNG)
-			pi, pc := clonePacket(p), clonePacket(p)
-			vi := devI.Process(now, pi, -1)
-			vc := devC.Process(now, pc, -1)
-			if vi != vc {
-				t.Logf("seed %d pkt %d: verdict interp=%v compiled=%v", seed, i, vi, vc)
-				return false
-			}
-			if !samePacket(pi, pc) {
-				t.Logf("seed %d pkt %d: packet state diverged", seed, i)
-				return false
-			}
-			now += sim.Time(pktRNG.Intn(1000)) * sim.Microsecond
-		}
-
-		if devI.Stats() != devC.Stats() {
-			t.Logf("seed %d: stats interp=%+v compiled=%+v", seed, devI.Stats(), devC.Stats())
-			return false
-		}
-		si, sc := devI.Services(), devC.Services()
-		if len(si) != len(sc) {
-			return false
-		}
-		for i := range si {
-			if si[i] != sc[i] {
-				t.Logf("seed %d: service %d interp=%+v compiled=%+v", seed, i, si[i], sc[i])
-				return false
-			}
-		}
-		if len(*evI) != len(*evC) {
-			t.Logf("seed %d: %d events interp vs %d compiled", seed, len(*evI), len(*evC))
-			return false
-		}
-		for i := range *evI {
-			if (*evI)[i] != (*evC)[i] {
-				t.Logf("seed %d: event %d interp=%+v compiled=%+v", seed, i, (*evI)[i], (*evC)[i])
-				return false
-			}
-		}
-		return true
+	devS, evS, err := buildDifferentialDevice(seed, size, hostile)
+	if err != nil {
+		return err
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	devB, evB, err := buildDifferentialDevice(seed, size, hostile)
+	if err != nil {
+		return err
 	}
+
+	pktRNG := sim.NewRNG(seed ^ 0xD1B54A32D192ED03)
+	orig := make([]*packet.Packet, nPkts)
+	single := make([]*packet.Packet, nPkts)
+	batch := make([]*packet.Packet, nPkts)
+	for i := range orig {
+		orig[i] = differentialPacket(pktRNG)
+		single[i], batch[i] = clonePacket(orig[i]), clonePacket(orig[i])
+	}
+	wantKeep := make([]bool, nPkts)
+	for i, p := range single {
+		wantKeep[i] = devS.Process(0, p, -1)
+	}
+	gotKeep := make([]bool, nPkts)
+	devB.ProcessBatch(0, batch, -1, gotKeep)
+
+	for i, o := range orig {
+		for _, p := range []*packet.Packet{single[i], batch[i]} {
+			if p.Src != o.Src || p.Dst != o.Dst || p.TTL != o.TTL || p.Size > o.Size || p.Validate() != nil {
+				return fmt.Errorf("seed %d pkt %d: safety rule broken: before %+v after %+v", seed, i, o, p)
+			}
+		}
+		if wantKeep[i] != gotKeep[i] || !samePacket(single[i], batch[i]) {
+			return fmt.Errorf("seed %d pkt %d: single keep=%v batch keep=%v", seed, i, wantKeep[i], gotKeep[i])
+		}
+	}
+	if devS.Stats() != devB.Stats() {
+		return fmt.Errorf("seed %d: stats single=%+v batch=%+v", seed, devS.Stats(), devB.Stats())
+	}
+	if ss, sb := devS.Services(), devB.Services(); !slices.Equal(ss, sb) {
+		return fmt.Errorf("seed %d: services single=%+v batch=%+v", seed, ss, sb)
+	}
+	if !slices.Equal(*evS, *evB) {
+		return fmt.Errorf("seed %d: events single=%+v batch=%+v", seed, *evS, *evB)
+	}
+	return nil
 }
 
 // TestFuzzBatchMatchesSingle checks ProcessBatch against per-packet
@@ -358,64 +344,30 @@ func TestFuzzDifferentialCompiledVsInterpreted(t *testing.T) {
 // semantic change.
 func TestFuzzBatchMatchesSingle(t *testing.T) {
 	f := func(seed uint64, sizeRaw, pktsRaw uint8, hostile bool) bool {
-		size := 1 + int(sizeRaw)%8
-		nPkts := 1 + int(pktsRaw)%64
-
-		devS, evS, err := buildDifferentialDevice(seed, size, hostile, false)
-		if err != nil {
+		if err := checkBatchVsSingle(seed, sizeRaw, pktsRaw, hostile); err != nil {
+			t.Log(err)
 			return false
-		}
-		devB, evB, err := buildDifferentialDevice(seed, size, hostile, false)
-		if err != nil {
-			return false
-		}
-
-		pktRNG := sim.NewRNG(seed ^ 0xD1B54A32D192ED03)
-		single := make([]*packet.Packet, nPkts)
-		batch := make([]*packet.Packet, nPkts)
-		for i := range single {
-			p := differentialPacket(pktRNG)
-			single[i], batch[i] = clonePacket(p), clonePacket(p)
-		}
-		wantKeep := make([]bool, nPkts)
-		for i, p := range single {
-			wantKeep[i] = devS.Process(0, p, -1)
-		}
-		gotKeep := make([]bool, nPkts)
-		devB.ProcessBatch(0, batch, -1, gotKeep)
-
-		for i := range single {
-			if wantKeep[i] != gotKeep[i] || !samePacket(single[i], batch[i]) {
-				t.Logf("seed %d pkt %d: single keep=%v batch keep=%v", seed, i, wantKeep[i], gotKeep[i])
-				return false
-			}
-		}
-		if devS.Stats() != devB.Stats() {
-			t.Logf("seed %d: stats single=%+v batch=%+v", seed, devS.Stats(), devB.Stats())
-			return false
-		}
-		ss, sb := devS.Services(), devB.Services()
-		if len(ss) != len(sb) {
-			return false
-		}
-		for i := range ss {
-			if ss[i] != sb[i] {
-				return false
-			}
-		}
-		if len(*evS) != len(*evB) {
-			return false
-		}
-		for i := range *evS {
-			if (*evS)[i] != (*evB)[i] {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDeviceGraphs is the device engine's native fuzz target: the fuzz
+// input seeds two owners' random graphs (optionally with a hostile module)
+// and a packet stream biased toward redirected traffic, checked by
+// checkBatchVsSingle.
+func FuzzDeviceGraphs(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), false)
+	f.Add(uint64(42), uint8(3), uint8(31), true)
+	f.Add(uint64(0x9E3779B97F4A7C15), uint8(7), uint8(63), false)
+	f.Fuzz(func(t *testing.T, seed uint64, sizeRaw, pktsRaw uint8, hostile bool) {
+		if err := checkBatchVsSingle(seed, sizeRaw, pktsRaw, hostile); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 type hostileComp struct {

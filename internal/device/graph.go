@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"dtc/internal/packet"
 )
@@ -18,9 +19,6 @@ type Graph struct {
 	nodes []TypedComponent
 	// wires[i][p] is the target of node i's port p: a node index or Exit.
 	wires [][]int
-	// caps[i] is node i's manifest, resolved at install time so the
-	// runtime can enforce per-component capabilities.
-	caps []Manifest
 }
 
 // NewGraph starts an empty service graph with the given name.
@@ -135,12 +133,40 @@ func (g *Graph) Validate(reg *Registry) error {
 			stack = append(stack, frame{node: w})
 		}
 	}
-	// Resolve manifests for runtime capability enforcement.
-	g.caps = make([]Manifest, len(g.nodes))
-	for i, c := range g.nodes {
-		g.caps[i], _ = reg.Lookup(c.Type())
-	}
 	return nil
+}
+
+// node is one component of an installed graph: the component, the target
+// of each of its ports, and the capabilities its type's manifest grants.
+type node struct {
+	comp             TypedComponent
+	wires            []int
+	mayDrop          bool
+	mayModifyPayload bool
+}
+
+// frozen is the device's private copy of a validated graph. Install takes
+// it, so a later Add or Wire on the caller's Graph changes nothing that
+// runs, and every node carries its resolved manifest, so capability checks
+// always apply.
+type frozen []node
+
+// freeze validates g against reg and returns its frozen copy.
+func (g *Graph) freeze(reg *Registry) (frozen, error) {
+	if err := g.Validate(reg); err != nil {
+		return nil, err
+	}
+	f := make(frozen, len(g.nodes))
+	for i, c := range g.nodes {
+		m, _ := reg.Lookup(c.Type())
+		f[i] = node{
+			comp:             c,
+			wires:            slices.Clone(g.wires[i]),
+			mayDrop:          m.MayDrop,
+			mayModifyPayload: m.MayModifyPayload,
+		}
+	}
+	return f, nil
 }
 
 // errCapability marks a per-component capability violation detected by run.
@@ -158,43 +184,29 @@ func (e errCapability) Error() string {
 // component exceeded its declared capabilities (the caller quarantines the
 // service; the packet may be dirty and must be restored). It is
 // unexported: external callers go through Device, which wraps execution in
-// the safety monitor.
-func (g *Graph) run(pkt *packet.Packet, env *Env) (Result, error) {
-	node := 0
-	steps := 0
-	enforce := len(g.caps) == len(g.nodes)
+// the safety monitor. The walk needs no step bound: Validate proved every
+// path from node 0 acyclic, and the frozen wiring cannot change.
+func (f frozen) run(pkt *packet.Packet, env *Env) (Result, error) {
+	n := &f[0]
 	for {
-		steps++
-		if steps > len(g.nodes)+1 {
-			// Defensive bound: Validate guarantees acyclicity, but a
-			// mis-wired graph must not hang the simulator.
-			return Forward, nil
+		preSize, prePayload := pkt.Size, len(pkt.Payload)
+		port, res := n.comp.Process(pkt, env)
+		if res == Discard && !n.mayDrop {
+			return Discard, errCapability{n.comp.Name(), "discarded a packet without MayDrop"}
 		}
-		c := g.nodes[node]
-		var preSize, prePayload int
-		if enforce {
-			preSize, prePayload = pkt.Size, len(pkt.Payload)
-		}
-		port, res := c.Process(pkt, env)
-		if enforce {
-			m := g.caps[node]
-			if res == Discard && !m.MayDrop {
-				return Discard, errCapability{c.Name(), "discarded a packet without MayDrop"}
-			}
-			if !m.MayModifyPayload && (pkt.Size != preSize || len(pkt.Payload) != prePayload) {
-				return Forward, errCapability{c.Name(), "modified payload/size without MayModifyPayload"}
-			}
+		if !n.mayModifyPayload && (pkt.Size != preSize || len(pkt.Payload) != prePayload) {
+			return Forward, errCapability{n.comp.Name(), "modified payload/size without MayModifyPayload"}
 		}
 		if res == Discard {
 			return Discard, nil
 		}
-		if port < 0 || port >= len(g.wires[node]) {
+		if port < 0 || port >= len(n.wires) {
 			port = 0
 		}
-		next := g.wires[node][port]
+		next := n.wires[port]
 		if next == Exit {
 			return Forward, nil
 		}
-		node = next
+		n = &f[next]
 	}
 }

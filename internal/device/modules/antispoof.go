@@ -44,14 +44,6 @@ func (a *AntiSpoof) Type() string { return TypeAntiSpoof }
 // Ports implements device.Component.
 func (a *AntiSpoof) Ports() int { return 1 }
 
-// Lower implements device.Compilable.
-func (a *AntiSpoof) Lower() (device.LoweredOp, bool) {
-	return device.AntiSpoofOp{
-		Strict:  a.Strict,
-		Dropped: &a.Dropped, Passed: &a.Passed, NoCtx: &a.NoCtx,
-	}, true
-}
-
 // Process implements device.Component.
 func (a *AntiSpoof) Process(pkt *packet.Packet, env *device.Env) (int, device.Result) {
 	if env.RPF == nil {

@@ -41,15 +41,6 @@ func (f *Filter) Type() string { return TypeFilter }
 // Ports implements device.Component.
 func (f *Filter) Ports() int { return 1 }
 
-// Lower implements device.Compilable: the rule list and counters are
-// shared with the live component, so reads and edits see both paths.
-func (f *Filter) Lower() (device.LoweredOp, bool) {
-	return device.FilterOp{
-		Rules: f.Rules, AllowMode: f.AllowMode,
-		Dropped: &f.Dropped, Passed: &f.Passed,
-	}, true
-}
-
 // Process implements device.Component.
 func (f *Filter) Process(pkt *packet.Packet, _ *device.Env) (int, device.Result) {
 	matched := false
@@ -83,11 +74,6 @@ func (c *Classifier) Type() string { return TypeClassifier }
 
 // Ports implements device.Component.
 func (c *Classifier) Ports() int { return len(c.Rules) + 1 }
-
-// Lower implements device.Compilable.
-func (c *Classifier) Lower() (device.LoweredOp, bool) {
-	return device.ClassifyOp{Rules: c.Rules}, true
-}
 
 // Process implements device.Component.
 func (c *Classifier) Process(pkt *packet.Packet, _ *device.Env) (int, device.Result) {
@@ -133,15 +119,6 @@ func (b *Blacklist) Type() string { return TypeBlacklist }
 
 // Ports implements device.Component.
 func (b *Blacklist) Ports() int { return 1 }
-
-// Lower implements device.Compilable: the address set is shared, so
-// runtime Add/Remove calls are visible to compiled programs immediately.
-func (b *Blacklist) Lower() (device.LoweredOp, bool) {
-	if b.set == nil {
-		return nil, false // literal-constructed; Add would have to replace the map
-	}
-	return device.BlacklistOp{Set: b.set, Dropped: &b.Dropped}, true
-}
 
 // Process implements device.Component.
 func (b *Blacklist) Process(pkt *packet.Packet, _ *device.Env) (int, device.Result) {

@@ -109,16 +109,6 @@ func (s *Stats) Type() string { return TypeStats }
 // Ports implements device.Component.
 func (s *Stats) Ports() int { return 1 }
 
-// Lower implements device.Compilable: rule and counter slices share their
-// backing arrays with the component, so telemetry reads stay correct.
-func (s *Stats) Lower() (device.LoweredOp, bool) {
-	return device.CounterOp{
-		Rules:        s.Rules,
-		TotalPackets: &s.TotalPackets, TotalBytes: &s.TotalBytes,
-		RulePackets: s.RulePackets, RuleBytes: s.RuleBytes,
-	}, true
-}
-
 // Process implements device.Component.
 func (s *Stats) Process(pkt *packet.Packet, _ *device.Env) (int, device.Result) {
 	s.TotalPackets++

@@ -35,17 +35,6 @@ func (r *RateLimiter) Type() string { return TypeRateLimiter }
 // Ports implements device.Component.
 func (r *RateLimiter) Ports() int { return 1 }
 
-// Lower implements device.Compilable. Every field is handed out by
-// pointer: control-plane updates to Rate/Burst and the shared bucket state
-// keep compiled execution bit-identical to the interpreter.
-func (r *RateLimiter) Lower() (device.LoweredOp, bool) {
-	return device.RateLimitOp{
-		Match: &r.Match, Rate: &r.Rate, Burst: &r.Burst, ByteMode: r.ByteMode,
-		Tokens: &r.tokens, Last: &r.last, Inited: &r.inited,
-		Dropped: &r.Dropped, Passed: &r.Passed,
-	}, true
-}
-
 // Process implements device.Component.
 func (r *RateLimiter) Process(pkt *packet.Packet, env *device.Env) (int, device.Result) {
 	if !r.Match.Matches(pkt) {

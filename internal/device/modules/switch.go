@@ -32,12 +32,6 @@ func (s *Switch) On() bool { return s.on }
 // Set flips the switch.
 func (s *Switch) Set(on bool) { s.on = on }
 
-// Lower implements device.Compilable: the branch reads the live switch
-// position, so trigger-driven Set calls take effect mid-stream.
-func (s *Switch) Lower() (device.LoweredOp, bool) {
-	return device.SwitchOp{On: &s.on}, true
-}
-
 // Process implements device.Component.
 func (s *Switch) Process(_ *packet.Packet, _ *device.Env) (int, device.Result) {
 	if s.on {

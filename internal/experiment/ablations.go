@@ -91,9 +91,8 @@ func runA2(opts Options) (*metrics.Table, error) {
 	// are the measurement, so points must not contend for the CPU.
 	type a2Row struct {
 		trieRate, compRate, linRate float64
-		interpRate, progRate        float64
+		graphRate                   float64
 		mismatch                    bool
-		graphMismatch               bool
 	}
 	rows, err := sweep.Run(len(sizes), 1, opts.Seed, func(pi int, _ *sim.RNG) (a2Row, error) {
 		size := sizes[pi]
@@ -146,17 +145,14 @@ func runA2(opts Options) (*metrics.Table, error) {
 		}
 		linRate := float64(n) / time.Since(start).Seconds() / 1e6
 
-		// Graph-execution ablation on top of the same binding table: every
-		// packet redirects through a two-stage service pair, interpreted
-		// vs compiled to a flat program. Both modes must report identical
-		// counters — the differential fuzzer's property, re-checked here
-		// at rate-measurement volume.
+		// Graph execution on top of the same binding table: every packet
+		// redirects through a two-stage service pair, putting the owner
+		// dispatch in the context of a full device pass.
 		gn := n / 10
-		runGraphs := func(interpreted bool) (float64, device.Stats, error) {
+		runGraphs := func() (float64, error) {
 			dev := device.New(0, modules.NewRegistry(), sim.NewRNG(opts.Seed))
-			dev.SetInterpreted(interpreted)
 			if err := dev.BindOwner(prefixes[0], "src-own"); err != nil {
-				return 0, device.Stats{}, err
+				return 0, err
 			}
 			srcG := device.Chain("a2-src",
 				&modules.Filter{Label: "f", Rules: []modules.Match{{DstPort: 9}}},
@@ -164,10 +160,10 @@ func runA2(opts Options) (*metrics.Table, error) {
 			dstG := device.Chain("a2-dst",
 				&modules.RateLimiter{Label: "rl", Rate: 1e9, Burst: 1e9})
 			if err := dev.Install("src-own", device.StageSource, srcG); err != nil {
-				return 0, device.Stats{}, err
+				return 0, err
 			}
 			if err := dev.Install("src-own", device.StageDest, dstG); err != nil {
-				return 0, device.Stats{}, err
+				return 0, err
 			}
 			pkt := &packet.Packet{
 				Src: prefixes[0].Nth(1), Dst: prefixes[0].Nth(2),
@@ -177,22 +173,17 @@ func runA2(opts Options) (*metrics.Table, error) {
 			for i := 0; i < gn; i++ {
 				dev.Process(sim.Time(i), pkt, 1)
 			}
-			return float64(gn) / time.Since(begin).Seconds() / 1e6, dev.Stats(), nil
+			return float64(gn) / time.Since(begin).Seconds() / 1e6, nil
 		}
-		interpRate, interpStats, err := runGraphs(true)
-		if err != nil {
-			return a2Row{}, err
-		}
-		progRate, progStats, err := runGraphs(false)
+		graphRate, err := runGraphs()
 		if err != nil {
 			return a2Row{}, err
 		}
 
 		return a2Row{
 			trieRate: trieRate, compRate: compRate, linRate: linRate,
-			interpRate: interpRate, progRate: progRate,
-			mismatch:      hits != linHits || hits != compHits,
-			graphMismatch: interpStats != progStats,
+			graphRate: graphRate,
+			mismatch:  hits != linHits || hits != compHits,
 		}, nil
 	})
 	if err != nil {
@@ -208,13 +199,7 @@ func runA2(opts Options) (*metrics.Table, error) {
 		tbl.AddRow(size, "trie", n, r.trieRate, 1.0)
 		tbl.AddRow(size, "compiled", n, r.compRate, ratio(r.trieRate, r.compRate))
 		tbl.AddRow(size, "linear", n, r.linRate, ratio(r.trieRate, r.linRate))
-		if r.graphMismatch {
-			// Interpreter and compiled program must agree exactly.
-			tbl.AddRow(size, "GRAPH MISMATCH", n/10, 0.0, 0.0)
-			continue
-		}
-		tbl.AddRow(size, "interp-graph", n/10, r.interpRate, ratio(r.trieRate, r.interpRate))
-		tbl.AddRow(size, "compiled-graph", n/10, r.progRate, ratio(r.trieRate, r.progRate))
+		tbl.AddRow(size, "graph", n/10, r.graphRate, ratio(r.trieRate, r.graphRate))
 	}
 	return tbl, nil
 }

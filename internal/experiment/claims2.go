@@ -73,12 +73,20 @@ func runE5(opts Options) (*metrics.Table, error) {
 				Size: 100, DstPort: uint16(rng.Intn(1000)),
 			}
 		}
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			p := *pkts[i%len(pkts)]
-			dev.Process(0, &p, -1)
+		// Each point is the fastest of three passes over the same packets:
+		// scheduling noise only ever slows a pass down, so the minimum is
+		// the stable estimate (the same min-fold cmd/benchjson applies).
+		var wall time.Duration
+		for pass := 0; pass < 3; pass++ {
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				p := *pkts[i%len(pkts)]
+				dev.Process(0, &p, -1)
+			}
+			if d := time.Since(start); pass == 0 || d < wall {
+				wall = d
+			}
 		}
-		wall := time.Since(start)
 		return e5Row{
 			mpps:     float64(n) / wall.Seconds() / 1e6,
 			nsPerPkt: float64(wall.Nanoseconds()) / float64(n),

@@ -57,6 +57,16 @@ func TestPassed(t *testing.T) {
 	if !s.Passed(late) {
 		t.Fatal("a key at the deadline of a Run that reached it has not passed")
 	}
+	// A Run to the current time, with a later event pending, still passes
+	// every key stamped at that time.
+	s.AfterFunc(Millisecond, func(Time) {})
+	now := s.Stamp(s.Now())
+	if _, err := s.Run(s.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Passed(now) {
+		t.Fatal("a key stamped at Now has not passed after Run(Now())")
+	}
 }
 
 func TestSchedulePassedKeyPanics(t *testing.T) {
@@ -337,6 +347,7 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{0, 5, 2, 1, 3, 2, 0, 7, 4, 3, 6, 1, 7, 20, 5, 0, 2, 9, 8, 40})
 	f.Add([]byte{2, 0, 2, 0, 2, 0, 3, 1, 3, 1, 1, 0, 6, 6, 6, 7, 3, 4, 9, 2, 2, 5, 7, 255})
 	f.Add([]byte{5, 10, 0, 0, 4, 0, 4, 1, 0, 0, 0, 0, 7, 0, 6, 6, 1, 2, 7, 255, 9, 3})
+	f.Add([]byte{0, 1, 5, 0, 7, 0}) // At(1), Stamp(0), Run(0): the stamp passes
 	f.Fuzz(runOrder)
 }
 

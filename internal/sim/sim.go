@@ -396,7 +396,8 @@ func (s *Simulation) passUntil(until Time) {
 
 // Run executes events in order until the queue empties, Stop is called, or
 // simulated time would pass until. Events scheduled exactly at until still
-// fire. It returns the time at which the run stopped.
+// fire. It returns the time at which the run stopped; the clock never moves
+// back, so an until earlier than Now leaves Now unchanged.
 //
 // When EventLimit is reached the pending event is left in the queue and
 // ErrEventLimit is returned; no event is ever silently dropped.
@@ -408,7 +409,9 @@ func (s *Simulation) Run(until Time) (Time, error) {
 			break
 		}
 		if top.at > until {
-			s.now = until
+			if s.now < until {
+				s.now = until
+			}
 			s.passUntil(until)
 			return s.now, nil
 		}

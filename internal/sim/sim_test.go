@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -76,6 +77,40 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 	if fired != 2 {
 		t.Errorf("after second run fired = %d, want 2", fired)
+	}
+}
+
+// TestRunEarlierDeadlineKeepsClock runs to 15ms with events at 10ms and
+// 20ms, then asks for 5ms: the clock must stay at 15ms, so a later At(6ms)
+// is in the past and panics instead of firing after the 10ms event.
+func TestRunEarlierDeadlineKeepsClock(t *testing.T) {
+	s := New(1)
+	var fired []Time
+	record := EventFunc(func(now Time) { fired = append(fired, now) })
+	s.At(10*Millisecond, record)
+	s.At(20*Millisecond, record)
+	if end, err := s.Run(15 * Millisecond); err != nil || end != 15*Millisecond {
+		t.Fatalf("Run(15ms) = %v, %v", end, err)
+	}
+	if end, err := s.Run(5 * Millisecond); err != nil || end != 15*Millisecond {
+		t.Fatalf("Run(5ms) = %v, %v; want 15ms", end, err)
+	}
+	if s.Now() != 15*Millisecond {
+		t.Fatalf("Now() = %v after Run(5ms), want 15ms", s.Now())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("At(6ms) after the clock reached 15ms did not panic")
+			}
+		}()
+		s.At(6*Millisecond, record)
+	}()
+	if _, err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{10 * Millisecond, 20 * Millisecond}; !slices.Equal(fired, want) {
+		t.Errorf("fired at %v, want %v", fired, want)
 	}
 }
 

@@ -146,6 +146,11 @@ func (s *Snapshot) UnmarshalBinary(buf []byte) error {
 	s.Services = s.Services[:0]
 	off := headerBytes
 	for i := 0; i < count; i++ {
+		// Long owners in earlier entries can use up the bytes the count
+		// bound reserved for later ones.
+		if off >= len(buf) {
+			return fmt.Errorf("telemetry: truncated service entry %d", i)
+		}
 		ownerLen := int(buf[off])
 		off++
 		if ownerLen == 0 {
