@@ -52,13 +52,13 @@ test-cpu:
 	$(GO) test -cpu 1,2 ./...
 
 # The chaos suite: the deterministic fault-injection engine plus every
-# crash/heal/resync/reconnect/leak test across the stack, all under the
-# race detector (DESIGN.md §11 lists the invariants these pin).
+# crash/heal/resync/reconnect/leak/replay test across the stack, all under
+# the race detector (DESIGN.md §11 lists the invariants these pin).
 chaos:
 	$(GO) test -race ./internal/fault
-	$(GO) test -race -run 'Fault|FailLink|Crash|Heal|Resync|Resubscribe|Leak|Retry|E14' \
+	$(GO) test -race -run 'Fault|FailLink|Crash|Heal|Resync|Resubscribe|Leak|Retry|Replay|E14' \
 		./internal/nms ./internal/defense ./internal/ctl ./internal/live \
-		./internal/netsim ./internal/experiment
+		./internal/netsim ./internal/experiment ./internal/auth ./internal/tcsp
 
 # Multi-process deployment smoke: one command brings up TCSP + ISP NMS +
 # attack + user-agent processes, drives the scripted control-plane
@@ -67,8 +67,9 @@ deploy-smoke:
 	$(GO) test -run 'TestDeploySmoke|TestDeployPortCollision' -count=1 ./internal/deploy
 
 # Short fuzz pass over the wire-format and parser fuzz targets, routing
-# repair, the event core against a container/heap reference, and random
-# hostile service graphs on the device (§4.5 invariants, batch == single).
+# repair, the event core against a container/heap reference, random
+# hostile service graphs on the device (§4.5 invariants, batch == single),
+# and the anti-replay window against a map-based specification.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzParsePrefix -fuzztime=10s ./internal/packet/
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFailLinkRepair -fuzztime=10s ./internal/routing/
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDeviceGraphs -fuzztime=10s ./internal/device/
+	$(GO) test -fuzz=FuzzReplayWindow -fuzztime=10s ./internal/auth/
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.

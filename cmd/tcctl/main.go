@@ -63,6 +63,17 @@ func (kf *keyFile) save(path string) error {
 	return os.WriteFile(path, data, 0o600)
 }
 
+// sign signs body under the next nonce and persists that nonce before the
+// request is sent: the TCSP rejects a reused nonce even when the request
+// that used it failed, so a nonce is spent once signed.
+func (kf *keyFile) sign(path string, id *auth.Identity, body []byte) *auth.SignedRequest {
+	kf.Nonce++
+	if err := kf.save(path); err != nil {
+		log.Fatal(err)
+	}
+	return auth.SignRequest(id, kf.Cert.Serial, kf.Nonce, body)
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "TCSP address")
 	retries := flag.Int("retries", 3, "dial attempts before giving up (exponential backoff)")
@@ -189,14 +200,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		kf.Nonce++
-		signed := auth.SignRequest(id, kf.Cert.Serial, kf.Nonce, body)
+		signed := kf.sign(*keyPath, id, body)
 		results, err := tc.Deploy(signed, nil)
 		if err != nil {
 			log.Fatalf("deployment failed: %v", err)
-		}
-		if err := kf.save(*keyPath); err != nil {
-			log.Fatal(err)
 		}
 		for _, r := range results {
 			fmt.Printf("deployed %q on %s nodes %v\n", spec.Name, r.ISP, r.Nodes)
@@ -244,14 +251,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		kf.Nonce++
-		signed := auth.SignRequest(id, kf.Cert.Serial, kf.Nonce, body)
+		signed := kf.sign(*keyPath, id, body)
 		results, err := tc.Control(signed, nil)
 		if err != nil {
 			log.Fatalf("update failed: %v", err)
-		}
-		if err := kf.save(*keyPath); err != nil {
-			log.Fatal(err)
 		}
 		for _, r := range results {
 			fmt.Printf("%s: parameters updated\n", r.ISP)
@@ -273,14 +276,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		kf.Nonce++
-		signed := auth.SignRequest(id, kf.Cert.Serial, kf.Nonce, body)
+		signed := kf.sign(*keyPath, id, body)
 		results, err := tc.Control(signed, nil)
 		if err != nil {
 			log.Fatalf("%s failed: %v", cmd, err)
-		}
-		if err := kf.save(*keyPath); err != nil {
-			log.Fatal(err)
 		}
 		for _, r := range results {
 			switch op {

@@ -71,3 +71,31 @@ func TestLoadKeyErrors(t *testing.T) {
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o600)
 }
+
+// TestSignSpendsNonceBeforeSending: the nonce is on disk before the
+// request leaves, so a request that fails after the TCSP accepted its
+// nonce cannot make the next invocation reuse it.
+func TestSignSpendsNonceBeforeSending(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "user.key")
+	seed := make([]byte, 32)
+	id, err := auth.NewIdentity("demo", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := auth.IssueCertificate(id, id, []packet.Prefix{packet.MustParsePrefix("10.0.0.0/16")}, 3, 0, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kf := &keyFile{User: "demo", Seed: seed, Cert: cert, Nonce: 5}
+	req := kf.sign(path, id, []byte("x"))
+	if req.Nonce != 6 {
+		t.Errorf("signed nonce = %d, want 6", req.Nonce)
+	}
+	got, _, err := loadKey(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Nonce != 6 {
+		t.Errorf("persisted nonce = %d, want 6", got.Nonce)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"dtc/internal/metrics"
 	"dtc/internal/packet"
 )
 
@@ -51,9 +52,21 @@ func NewIdentity(name string, seed []byte) (*Identity, error) {
 // Sign signs msg with the identity's private key.
 func (id *Identity) Sign(msg []byte) []byte { return ed25519.Sign(id.Priv, msg) }
 
+// verifications counts ed25519 signature checks, the control plane's
+// dominant CPU cost.
+var verifications metrics.AtomicCounter
+
+// Verifications returns how many ed25519 signature checks this process has
+// made, so tests can pin what one signed operation costs.
+func Verifications() uint64 { return verifications.Value() }
+
 // Verify checks a signature against a public key.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
-	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
+	if len(pub) != ed25519.PublicKeySize {
+		return false
+	}
+	verifications.Inc()
+	return ed25519.Verify(pub, msg, sig)
 }
 
 // Certificate binds an owner name and public key to verified IP prefixes.
@@ -115,13 +128,37 @@ func IssueCertificate(ca *Identity, subject *Identity, prefixes []packet.Prefix,
 
 // Verify checks the certificate's signature and validity at time `at`.
 func (c *Certificate) Verify(caPub ed25519.PublicKey, at int64) error {
+	if err := c.ValidAt(at); err != nil {
+		return err
+	}
+	return c.verifySignature(caPub, c.signingBytes())
+}
+
+// ValidAt checks the certificate's validity window: NotBefore <= at <
+// NotAfter. It does not check the signature.
+func (c *Certificate) ValidAt(at int64) error {
 	if at < c.NotBefore || at >= c.NotAfter {
 		return fmt.Errorf("auth: certificate for %q not valid at %d (window [%d,%d))", c.Owner, at, c.NotBefore, c.NotAfter)
 	}
-	if !Verify(caPub, c.signingBytes(), c.Signature) {
+	return nil
+}
+
+// verifySignature checks the CA signature over signed, which must be
+// c.signingBytes().
+func (c *Certificate) verifySignature(caPub ed25519.PublicKey, signed []byte) error {
+	if !Verify(caPub, signed, c.Signature) {
 		return fmt.Errorf("auth: certificate for %q has invalid signature", c.Owner)
 	}
 	return nil
+}
+
+// Clone returns a deep copy of the certificate.
+func (c *Certificate) Clone() *Certificate {
+	cp := *c
+	cp.PublicKey = bytes.Clone(c.PublicKey)
+	cp.Prefixes = append([]string(nil), c.Prefixes...)
+	cp.Signature = bytes.Clone(c.Signature)
+	return &cp
 }
 
 // Covers reports whether the certificate authorizes control over prefix p

@@ -400,8 +400,10 @@ func runNMS() error {
 	}
 
 	// One mutex serializes the data plane (sim advance), the control plane
-	// (NMS handler), and telemetry snapshots.
+	// (the NMS takes it itself, after checking signatures), and telemetry
+	// snapshots.
 	var mu sync.Mutex
+	m.SetLocker(&mu)
 	start := time.Now()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -493,8 +495,6 @@ func runNMS() error {
 			}
 			return &out, nil
 		default:
-			mu.Lock()
-			defer mu.Unlock()
 			return base(method, payload)
 		}
 	}

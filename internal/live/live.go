@@ -203,7 +203,7 @@ const DemoOwner = "demo"
 // Server is a running live traffic-control service.
 type Server struct {
 	cfg     Config
-	mu      sync.Mutex // serializes data plane and control plane
+	mu      sync.Mutex // the sim lock: data plane, telemetry tick and every NMS (SetLocker)
 	sim     *sim.Simulation
 	network *netsim.Network
 	tc      *tcsp.TCSP
@@ -282,14 +282,6 @@ func (s *Server) build() error {
 	}
 	s.ctrl = ctrl
 
-	locked := func(h ctl.Handler) ctl.Handler {
-		return func(method string, payload json.RawMessage) (any, error) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return h(method, payload)
-		}
-	}
-
 	host, port, explicitPorts, err := splitAddr(s.cfg.Addr)
 	if err != nil {
 		return err
@@ -318,7 +310,8 @@ func (s *Server) build() error {
 		if err != nil {
 			return err
 		}
-		h := locked(ctl.NMSHandler(m))
+		m.SetLocker(&s.mu)
+		h := ctl.NMSHandler(m)
 		nmsSrv := ctl.NewServer(ln, h)
 		s.nmsSrvs = append(s.nmsSrvs, nmsSrv)
 		s.nmsAddrs = append(s.nmsAddrs, ln.Addr().String())
@@ -402,7 +395,7 @@ func (s *Server) build() error {
 	if err != nil {
 		return err
 	}
-	s.tcspSrv = ctl.NewServer(ln, s.handler(locked(ctl.TCSPHandler(tc))))
+	s.tcspSrv = ctl.NewServer(ln, s.handler(ctl.TCSPHandler(tc)))
 	s.cfg.Logf("TCSP listening on %s", ln.Addr())
 	s.cfg.Logf("demo user owns %v", victimPfx)
 

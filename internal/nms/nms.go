@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"dtc/internal/auth"
 	"dtc/internal/device"
@@ -135,14 +136,21 @@ type journalEntry struct {
 	updates  []journalUpdate
 }
 
-// NMS is one ISP's network management system.
+// NMS is one ISP's network management system. Its devices and install
+// state are guarded by one sync.Locker (see SetLocker): Deploy and Control
+// take it themselves, after verifying the request; every other method that
+// touches devices or install state — Heal, Snapshot, DeployOperator, the
+// crash hooks — and the simulation that drives the data plane must run
+// with it held.
 type NMS struct {
 	Name string
 
 	net     *netsim.Network
 	nodes   []int
 	trusted ed25519.PublicKey
-	clock   func() int64 // seconds, for certificate validation
+	clock   func() int64   // seconds, for certificate validation
+	certs   auth.CertCache // TCSP certificates already verified
+	mu      sync.Locker
 
 	devices   map[int]*device.Device
 	installed map[installKey]map[int]*service.Compiled
@@ -173,6 +181,7 @@ func New(name string, net *netsim.Network, nodes []int, trusted ed25519.PublicKe
 	m := &NMS{
 		Name: name, net: net, nodes: append([]int(nil), nodes...),
 		trusted: trusted, clock: clock,
+		mu:         new(sync.Mutex),
 		devices:    make(map[int]*device.Device),
 		installed:  make(map[installKey]map[int]*service.Compiled),
 		events:     make(map[string][]device.Event),
@@ -201,6 +210,14 @@ func New(name string, net *netsim.Network, nodes []int, trusted ed25519.PublicKe
 	net.OnRoutingUpdate(func() { m.routingUpdates++ })
 	return m, nil
 }
+
+// SetLocker makes l the lock that guards the NMS: the caller holds the
+// same l while it advances the simulated data plane, heals or snapshots.
+// Deploy and Control verify and decode a request before taking it, so
+// concurrent connections check signatures in parallel. Without SetLocker
+// the NMS guards itself with a private mutex, which serializes Deploy and
+// Control only with each other. Call it before the NMS is shared.
+func (m *NMS) SetLocker(l sync.Locker) { m.mu = l }
 
 // RoutingUpdates reports how many routing changes the NMS has adapted to.
 func (m *NMS) RoutingUpdates() int { return m.routingUpdates }
@@ -272,9 +289,10 @@ func (m *NMS) Device(node int) (*device.Device, bool) {
 func (m *NMS) AddPeer(p *NMS) { m.peers = append(m.peers, p) }
 
 // verify checks the certificate chain and request signature, and returns
-// the decoded body.
+// the decoded body. A certificate already verified costs no signature
+// check; the request signature is checked every time.
 func (m *NMS) verify(cert *auth.Certificate, sreq *auth.SignedRequest, out any) error {
-	if err := cert.Verify(m.trusted, m.clock()); err != nil {
+	if err := m.certs.Verify(cert, m.trusted, m.clock()); err != nil {
 		return fmt.Errorf("nms %s: %w", m.Name, err)
 	}
 	if err := auth.VerifyRequest(cert, sreq); err != nil {
@@ -340,6 +358,8 @@ func (m *NMS) Deploy(cert *auth.Certificate, sreq *auth.SignedRequest) (*DeployR
 		}
 		prefixes = append(prefixes, p)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.install(req.Owner, prefixes, &req.Spec, req.Scope)
 }
 
@@ -566,6 +586,8 @@ func (m *NMS) Control(cert *auth.Certificate, sreq *auth.SignedRequest) (*Contro
 	if req.Owner != cert.Owner {
 		return nil, fmt.Errorf("nms %s: request owner %q does not match certificate owner %q", m.Name, req.Owner, cert.Owner)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	res := &ControlResult{ISP: m.Name, OK: true}
 	if req.Op == "events" {
 		for _, e := range m.events[req.Owner] {

@@ -30,7 +30,8 @@ import (
 
 // Backend is a participating ISP's management interface. *nms.NMS
 // satisfies it in-process; the ctl package provides a TCP-backed client
-// with the same shape.
+// with the same shape. The certificate passed in is the TCSP's own copy,
+// which backends must not modify.
 type Backend interface {
 	Deploy(cert *auth.Certificate, sreq *auth.SignedRequest) (*nms.DeployResult, error)
 	Control(cert *auth.Certificate, sreq *auth.SignedRequest) (*nms.ControlResult, error)
@@ -56,11 +57,18 @@ type TCSP struct {
 	mu       sync.Mutex
 	isps     map[string]Backend
 	ispList  []string
-	certs    map[uint64]*auth.Certificate
+	certs    map[uint64]*issued
 	byOwner  map[string]uint64
-	revoked  map[uint64]bool
 	serial   uint64
 	onReport []func(isp string, snaps []*telemetry.Snapshot)
+}
+
+// issued is a certificate the TCSP signed, with its revocation flag and
+// the anti-replay window over the nonces of requests made under it.
+type issued struct {
+	cert    *auth.Certificate
+	revoked bool
+	nonces  auth.ReplayWindow
 }
 
 // New creates a TCSP with its own signing identity, the number-authority
@@ -70,9 +78,8 @@ func New(id *auth.Identity, authority *ownership.Registry, clock func() int64) *
 		id: id, authority: authority, clock: clock,
 		CertTTL: DefaultCertTTL,
 		isps:    make(map[string]Backend),
-		certs:   make(map[uint64]*auth.Certificate),
+		certs:   make(map[uint64]*issued),
 		byOwner: make(map[string]uint64),
-		revoked: make(map[uint64]bool),
 		store:   telemetry.NewStore(0),
 	}
 }
@@ -191,14 +198,14 @@ func (t *TCSP) Register(user string, pub ed25519.PublicKey, prefixes []string, s
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.certs[serial] = cert
+	t.certs[serial] = &issued{cert: cert.Clone()}
 	if serial > t.byOwner[user] { // concurrent registrations: latest serial wins
 		t.byOwner[user] = serial
 	}
 	return cert, nil
 }
 
-// CertificateFor returns the latest certificate issued to owner.
+// CertificateFor returns a copy of the latest certificate issued to owner.
 func (t *TCSP) CertificateFor(owner string) (*auth.Certificate, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -206,30 +213,42 @@ func (t *TCSP) CertificateFor(owner string) (*auth.Certificate, bool) {
 	if !ok {
 		return nil, false
 	}
-	return t.certs[s], true
+	return t.certs[s].cert.Clone(), true
 }
 
-// lookupCert resolves the signed request's certificate serial. Users do
-// not resend the full certificate on every request; the TCSP issued it and
-// keeps it. The signature checks run outside the lock.
+// lookupCert resolves and authenticates the signed request's certificate
+// serial. Users do not resend the full certificate on every request; the
+// TCSP issued it and keeps it. Only Register writes t.certs, with private
+// copies of certificates t.id signed, so the TCSP trusts its map and does
+// not re-check its own signature. Revocation, the validity window, the
+// user's request signature and the nonce window are checked on every
+// request; the nonce window only after the signature verified, so a forged
+// request cannot move it. The signature check runs outside the lock.
 func (t *TCSP) lookupCert(sreq *auth.SignedRequest) (*auth.Certificate, error) {
 	t.mu.Lock()
-	revoked := t.revoked[sreq.CertSerial]
-	cert, ok := t.certs[sreq.CertSerial]
+	is := t.certs[sreq.CertSerial]
+	revoked := is != nil && is.revoked
 	t.mu.Unlock()
 	if revoked {
 		return nil, fmt.Errorf("tcsp: certificate serial %d has been revoked", sreq.CertSerial)
 	}
-	if !ok {
+	if is == nil {
 		return nil, fmt.Errorf("tcsp: unknown certificate serial %d", sreq.CertSerial)
 	}
-	if err := cert.Verify(t.id.Pub, t.clock()); err != nil {
+	if err := is.cert.ValidAt(t.clock()); err != nil {
 		return nil, err
 	}
-	if err := auth.VerifyRequest(cert, sreq); err != nil {
+	if err := auth.VerifyRequest(is.cert, sreq); err != nil {
 		return nil, err
 	}
-	return cert, nil
+	t.mu.Lock()
+	fresh := is.nonces.Accept(sreq.Nonce)
+	t.mu.Unlock()
+	if !fresh {
+		return nil, fmt.Errorf("tcsp: replayed request: nonce %d under certificate serial %d was used before or is older than the last %d",
+			sreq.Nonce, sreq.CertSerial, auth.ReplayWindowSize)
+	}
+	return is.cert, nil
 }
 
 // Revoke withdraws a certificate: further TCSP-mediated requests under
@@ -240,10 +259,11 @@ func (t *TCSP) lookupCert(sreq *auth.SignedRequest) (*auth.Certificate, error) {
 func (t *TCSP) Revoke(serial uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.certs[serial]; !ok {
+	is, ok := t.certs[serial]
+	if !ok {
 		return fmt.Errorf("tcsp: unknown certificate serial %d", serial)
 	}
-	t.revoked[serial] = true
+	is.revoked = true
 	return nil
 }
 
@@ -251,7 +271,8 @@ func (t *TCSP) Revoke(serial uint64) error {
 func (t *TCSP) Revoked(serial uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.revoked[serial]
+	is, ok := t.certs[serial]
+	return ok && is.revoked
 }
 
 // selectISPs resolves an ISP name list (empty = all) to the names and

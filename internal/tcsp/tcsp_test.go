@@ -187,8 +187,10 @@ func TestDeploySelectsISP(t *testing.T) {
 	if len(results) != 1 || results[0].ISP != "isp2" {
 		t.Errorf("results = %+v", results)
 	}
-	if _, err := w.tcsp.Deploy(sreq, []string{"nope"}); err == nil {
-		t.Error("unknown ISP accepted")
+	// A fresh nonce: reusing sreq would be refused as a replay first.
+	sreq = auth.SignRequest(w.user, cert.Serial, 2, sreq.Body)
+	if _, err := w.tcsp.Deploy(sreq, []string{"nope"}); err == nil || !strings.Contains(err.Error(), "unknown ISP") {
+		t.Errorf("unknown ISP: %v", err)
 	}
 }
 
@@ -282,5 +284,149 @@ func TestRevocation(t *testing.T) {
 	sreq3 := auth.SignRequest(w.user, cert2.Serial, 1, body)
 	if _, err := w.tcsp.Deploy(sreq3, nil); err != nil {
 		t.Errorf("deploy under fresh certificate failed: %v", err)
+	}
+}
+
+func countersBody(t *testing.T) []byte {
+	t.Helper()
+	body, err := json.Marshal(&nms.ControlRequest{Owner: "acme", Op: "counters", Stage: "dest"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+func TestReplayRejected(t *testing.T) {
+	w := newWorld(t)
+	cert := w.register(t)
+	sreq := auth.SignRequest(w.user, cert.Serial, 1, deployBody(t, service.FirewallDrop("fw", service.MatchSpec{DstPort: 666})))
+	if _, err := w.tcsp.Deploy(sreq, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.tcsp.Deploy(sreq, nil); err == nil || !strings.Contains(err.Error(), "replayed") {
+		t.Errorf("replayed deploy: %v", err)
+	}
+	// The window is per serial, not per method.
+	ctl := auth.SignRequest(w.user, cert.Serial, 1, countersBody(t))
+	if _, err := w.tcsp.Control(ctl, nil); err == nil || !strings.Contains(err.Error(), "replayed") {
+		t.Errorf("control reusing a deploy nonce: %v", err)
+	}
+}
+
+func TestReplayWindowReorderAndAge(t *testing.T) {
+	w := newWorld(t)
+	cert := w.register(t)
+	body := countersBody(t)
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, cert.Serial, 1, deployBody(t, service.FirewallDrop("fw", service.MatchSpec{}))), nil); err != nil {
+		t.Fatal(err)
+	}
+	control := func(nonce uint64) error {
+		_, err := w.tcsp.Control(auth.SignRequest(w.user, cert.Serial, nonce, body), nil)
+		return err
+	}
+	for _, n := range []uint64{5, 3, 4, 2} { // reordered inside the window
+		if err := control(n); err != nil {
+			t.Errorf("nonce %d inside the window rejected: %v", n, err)
+		}
+	}
+	if err := control(3); err == nil {
+		t.Error("reused nonce 3 accepted")
+	}
+	top := uint64(200)
+	if err := control(top); err != nil {
+		t.Fatal(err)
+	}
+	if err := control(top - auth.ReplayWindowSize); err == nil || !strings.Contains(err.Error(), "replayed") {
+		t.Errorf("nonce older than the window: %v", err)
+	}
+	if err := control(top - auth.ReplayWindowSize + 1); err != nil {
+		t.Errorf("oldest nonce inside the window rejected: %v", err)
+	}
+}
+
+func TestReplayForgeryDoesNotAdvanceWindow(t *testing.T) {
+	w := newWorld(t)
+	cert := w.register(t)
+	body := deployBody(t, service.FirewallDrop("fw", service.MatchSpec{}))
+	mallory, _ := auth.NewIdentity("mallory", seed(9))
+	forged := auth.SignRequest(mallory, cert.Serial, 1000, body)
+	if _, err := w.tcsp.Deploy(forged, nil); err == nil || !strings.Contains(err.Error(), "signature") {
+		t.Fatalf("forged request: %v", err)
+	}
+	// Had the forgery moved the window to 1000, nonce 1 would be too old.
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, cert.Serial, 1, body), nil); err != nil {
+		t.Errorf("genuine nonce 1 after a forged nonce 1000: %v", err)
+	}
+	// A tampered body under a fresh nonce fails the signature and leaves
+	// that nonce unused.
+	tampered := auth.SignRequest(w.user, cert.Serial, 2, body)
+	tampered.Body = countersBody(t)
+	if _, err := w.tcsp.Deploy(tampered, nil); err == nil {
+		t.Fatal("tampered request accepted")
+	}
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, cert.Serial, 2, body), nil); err != nil {
+		t.Errorf("nonce 2 after a rejected tampering attempt: %v", err)
+	}
+}
+
+func TestReplayFreshWindowOnReRegistration(t *testing.T) {
+	w := newWorld(t)
+	body := deployBody(t, service.FirewallDrop("fw", service.MatchSpec{}))
+	first := w.register(t)
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, first.Serial, 100, body), nil); err != nil {
+		t.Fatal(err)
+	}
+	second := w.register(t)
+	if second.Serial == first.Serial {
+		t.Fatal("re-registration reused the serial")
+	}
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, second.Serial, 1, body), nil); err != nil {
+		t.Errorf("nonce 1 under the new serial: %v", err)
+	}
+	// The old serial keeps its own window.
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, first.Serial, 1, body), nil); err == nil {
+		t.Error("nonce 1 under the old serial accepted below its window")
+	}
+}
+
+// TestVerificationsPerSignedOp pins the cost of a signed operation relayed
+// in-process to one ISP: the TCSP checks the request signature but not
+// its own certificate, and the NMS checks the certificate once per serial,
+// so a steady-state op costs two ed25519 verifications, one per hop.
+func TestVerificationsPerSignedOp(t *testing.T) {
+	w := newWorld(t)
+	cert := w.register(t)
+	before := auth.Verifications()
+	if _, err := w.tcsp.Deploy(auth.SignRequest(w.user, cert.Serial, 1, deployBody(t, service.FirewallDrop("fw", service.MatchSpec{}))), []string{"isp1"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := auth.Verifications() - before; n != 3 {
+		t.Errorf("first op: %d verifications, want 3 (request at the TCSP; certificate and request at the NMS)", n)
+	}
+	const ops = 10
+	before = auth.Verifications()
+	for i := uint64(0); i < ops; i++ {
+		if _, err := w.tcsp.Control(auth.SignRequest(w.user, cert.Serial, 2+i, countersBody(t)), []string{"isp1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := auth.Verifications() - before; n != 2*ops {
+		t.Errorf("%d steady-state ops: %d verifications, want %d (2 per op)", ops, n, 2*ops)
+	}
+}
+
+// TestCertificateForReturnsCopy checks that the TCSP's issued-certificate
+// map, which it trusts without re-checking signatures, cannot be altered
+// through the certificates it hands out.
+func TestCertificateForReturnsCopy(t *testing.T) {
+	w := newWorld(t)
+	cert := w.register(t)
+	cert.Prefixes[0] = "0.0.0.0/0"
+	got, _ := w.tcsp.CertificateFor("acme")
+	got.Prefixes[0] = "0.0.0.0/0"
+	got.PublicKey[0] ^= 1
+	again, _ := w.tcsp.CertificateFor("acme")
+	if err := again.Verify(w.tcsp.PublicKey(), 0); err != nil {
+		t.Errorf("stored certificate altered through a returned copy: %v", err)
 	}
 }
