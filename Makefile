@@ -67,7 +67,7 @@ deploy-smoke:
 	$(GO) test -run 'TestDeploySmoke|TestDeployPortCollision' -count=1 ./internal/deploy
 
 # Short fuzz pass over the wire-format and parser fuzz targets, routing
-# repair, the event core against a container/heap reference, random
+# after link cuts against a fresh cache, the event core against a container/heap reference, random
 # hostile service graphs on the device (§4.5 invariants, batch == single),
 # and the anti-replay window against a map-based specification.
 fuzz:
@@ -77,14 +77,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzSnapshotUnmarshal -fuzztime=10s ./internal/telemetry/
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s ./internal/ctl/
-	$(GO) test -fuzz=FuzzFailLinkRepair -fuzztime=10s ./internal/routing/
+	$(GO) test -fuzz=FuzzCutsMatchFresh -fuzztime=10s ./internal/routing/
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDeviceGraphs -fuzztime=10s ./internal/device/
 	$(GO) test -fuzz=FuzzReplayWindow -fuzztime=10s ./internal/auth/
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.
-MICROBENCH = BenchmarkDeviceFastPath|BenchmarkDeviceTwoStage|BenchmarkDeviceProcessBatch|BenchmarkTrieLookup|BenchmarkCompiledTrieLookup|BenchmarkEventQueue|BenchmarkPacketForwarding|BenchmarkRelayForwarding|BenchmarkSweepE10|BenchmarkFlowEvalBatch|BenchmarkTelemetryWire|BenchmarkDetectorObserve|BenchmarkPromExposition|BenchmarkE15Hybrid|BenchmarkHybridMemory|BenchmarkCtlLoad|BenchmarkRoutingBuildTree|BenchmarkSharedTreeToParallel|BenchmarkFailLinkRepair|BenchmarkConeViewRows
+MICROBENCH = BenchmarkDeviceFastPath|BenchmarkDeviceTwoStage|BenchmarkDeviceProcessBatch|BenchmarkTrieLookup|BenchmarkCompiledTrieLookup|BenchmarkEventQueue|BenchmarkPacketForwarding|BenchmarkRelayForwarding|BenchmarkSweepE10|BenchmarkFlowEvalBatch|BenchmarkTelemetryWire|BenchmarkDetectorObserve|BenchmarkPromExposition|BenchmarkE15Hybrid|BenchmarkHybridMemory|BenchmarkCtlLoad|BenchmarkRoutingBuildTree|BenchmarkSharedTreeToParallel|BenchmarkConeViewRows
 BENCH_OUT ?= BENCH_PR10.json
 BENCH_BASE ?= BENCH_PR9.json
 

@@ -393,91 +393,6 @@ func BenchmarkSharedTreeToParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkFailLinkRepair compares the two ways to reconcile a routing
-// cache with a single link cut on the 18k-AS graph, 64 trees warm:
-// incremental repair (LinkDown: O(1) skip for unaffected trees, partial
-// Dijkstra over the orphaned subtree otherwise) versus the old full
-// Invalidate+rebuild of every cached destination. Each op restores the
-// pre-cut state off the clock.
-func BenchmarkFailLinkRepair(b *testing.B) {
-	const nDsts = 64
-	setup := func(b *testing.B) (*topology.Graph, *routing.Shared, []int, topology.Edge, [][]int32, [][]float64) {
-		g, err := topology.BarabasiAlbert(18000, 2, sim.NewRNG(3))
-		if err != nil {
-			b.Fatal(err)
-		}
-		routes := routing.NewShared(g, nil)
-		dsts := make([]int, nDsts)
-		for i := range dsts {
-			dsts[i] = (i * 281) % g.Len()
-		}
-		if err := routes.Prebuild(dsts, 0); err != nil {
-			b.Fatal(err)
-		}
-		tr0, err := routes.TreeTo(dsts[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		cut := topology.Edge{A: 9001, B: int(tr0.Next[9001])}
-		// Snapshot tree contents so each op can restore the pre-cut state
-		// without re-running Dijkstra.
-		snapN := make([][]int32, nDsts)
-		snapD := make([][]float64, nDsts)
-		for i, d := range dsts {
-			tr, err := routes.TreeTo(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			snapN[i] = append([]int32(nil), tr.Next...)
-			snapD[i] = append([]float64(nil), tr.Dist...)
-		}
-		return g, routes, dsts, cut, snapN, snapD
-	}
-	restore := func(b *testing.B, g *topology.Graph, routes *routing.Shared, dsts []int, cut topology.Edge, snapN [][]int32, snapD [][]float64) {
-		if err := g.AddEdge(cut.A, cut.B); err != nil {
-			b.Fatal(err)
-		}
-		for i, d := range dsts {
-			tr, err := routes.TreeTo(d)
-			if err != nil {
-				b.Fatal(err)
-			}
-			copy(tr.Next, snapN[i])
-			copy(tr.Dist, snapD[i])
-		}
-	}
-	b.Run("repair", func(b *testing.B) {
-		g, routes, dsts, cut, snapN, snapD := setup(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.RemoveEdge(cut.A, cut.B)
-			routes.LinkDown(cut.A, cut.B)
-			b.StopTimer()
-			restore(b, g, routes, dsts, cut, snapN, snapD)
-			b.StartTimer()
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		g, _, dsts, cut, _, _ := setup(b)
-		g.RemoveEdge(cut.A, cut.B)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// The old FailLink behavior: throw the whole cache away and
-			// re-run a full Dijkstra for every live destination. A fresh
-			// Shared per op stands in for Invalidate so the grow-only
-			// arena reflects one cache generation, as in real use.
-			routes := routing.NewShared(g, nil)
-			for _, d := range dsts {
-				if _, err := routes.TreeTo(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkEventQueue measures raw simulator event throughput.
 func BenchmarkEventQueue(b *testing.B) {
 	s := sim.New(1)

@@ -50,9 +50,8 @@ type Result struct {
 
 // Routes is the routing state the flow model reads: per-destination trees
 // and the reverse-path feasibility check (consulted for spoofed sources
-// only). Both *routing.Table (private, single goroutine) and
-// *routing.Shared (one Dijkstra cache serving many concurrent models)
-// satisfy it.
+// only). *routing.Shared satisfies it, whether private to one model or
+// one Dijkstra cache serving many concurrent models.
 type Routes interface {
 	TreeTo(dst int) (*routing.Tree, error)
 	FeasibleIngress(at, from, src int) bool
@@ -77,9 +76,9 @@ type Model struct {
 	cur    []int32
 }
 
-// New creates a model over g with its own private routing table.
+// New creates a model over g with its own private routing cache.
 func New(g *topology.Graph) *Model {
-	return NewOnRoutes(g, routing.NewTable(g, nil))
+	return NewOnRoutes(g, routing.NewShared(g, nil))
 }
 
 // NewOnRoutes creates a model over g reading routing state from routes,

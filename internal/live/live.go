@@ -647,7 +647,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP dtc_metrics_scrapes_total Scrapes of this endpoint.\n# TYPE dtc_metrics_scrapes_total counter\ndtc_metrics_scrapes_total %d\n", s.scrapes.Value())
 	rt := s.network.Table.Stats()
 	fmt.Fprintf(w, "# HELP dtc_routing_tree_builds_total Shortest-path trees built (routing cache misses).\n# TYPE dtc_routing_tree_builds_total counter\ndtc_routing_tree_builds_total %d\n", rt.Builds)
-	fmt.Fprintf(w, "# HELP dtc_routing_tree_repairs_total Trees incrementally repaired after link failures.\n# TYPE dtc_routing_tree_repairs_total counter\ndtc_routing_tree_repairs_total %d\n", rt.Repairs)
+	fmt.Fprintf(w, "# HELP dtc_routing_invalidations_total Routing cache invalidations (one per link failure).\n# TYPE dtc_routing_invalidations_total counter\ndtc_routing_invalidations_total %d\n", rt.Invalidations)
 	fmt.Fprintf(w, "# HELP dtc_routing_tree_hits_total Routing lookups served from cached trees.\n# TYPE dtc_routing_tree_hits_total counter\ndtc_routing_tree_hits_total %d\n", rt.Hits)
 }
 

@@ -263,7 +263,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := samples[key]; !ok {
 		t.Errorf("missing %s (have %d samples)", key, len(samples))
 	}
-	for _, gauge := range []string{"dtc_defense_mitigating", "dtc_telemetry_reports_total", "dtc_metrics_scrapes_total"} {
+	for _, gauge := range []string{"dtc_defense_mitigating", "dtc_telemetry_reports_total", "dtc_metrics_scrapes_total",
+		"dtc_routing_tree_builds_total", "dtc_routing_tree_hits_total", "dtc_routing_invalidations_total"} {
 		if _, ok := samples[gauge]; !ok {
 			t.Errorf("missing %s", gauge)
 		}

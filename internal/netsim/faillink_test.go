@@ -156,3 +156,105 @@ func TestGraphConservationInvariant(t *testing.T) {
 		t.Errorf("conservation violated: sent=%d delivered=%d dropped=%d", sent, delivered, dropped)
 	}
 }
+
+// TestFailLinkForwardingIsHistoryFree pins that forwarding after a cut
+// depends on the cut graph alone, not on which routes were cached before
+// it (paper §4.2's routing updates). Two networks on identical copies of
+// one hop-count power-law graph cut the same link; only one of them has
+// forwarded traffic before, which cached its routes toward every
+// destination that traffic used. Afterwards both carry the same flows and
+// must count the same packets on every link and at every host.
+func TestFailLinkForwardingIsHistoryFree(t *testing.T) {
+	const nodes, flows = 240, 800
+	type world struct {
+		s     *sim.Simulation
+		net   *Network
+		hosts []*Host
+	}
+	build := func() world {
+		g, err := topology.BarabasiAlbert(nodes, 2, sim.NewRNG(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sim.New(1)
+		net, err := New(s, g, LinkConfig{Bandwidth: 10e9, Delay: sim.Millisecond, QueueCap: flows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := world{s: s, net: net, hosts: make([]*Host, nodes)}
+		for v := range w.hosts {
+			if w.hosts[v], err = net.AttachHost(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return w
+	}
+	rng := sim.NewRNG(77)
+	pairs := make([][2]int, flows)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(nodes), rng.Intn(nodes)}
+	}
+	send := func(w world) {
+		now := w.s.Now()
+		for _, p := range pairs {
+			src := w.hosts[p[0]]
+			src.Send(now, &packet.Packet{Src: src.Addr, Dst: w.hosts[p[1]].Addr, Size: 500})
+		}
+		if _, err := w.s.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	warm, cold := build(), build()
+	send(warm)
+	// Cut the warm run's busiest edge, which the most cached routes cross,
+	// then forget the warm-up traffic so both networks count only what
+	// follows the cut.
+	var cut topology.Edge
+	var most uint64
+	for _, e := range warm.net.Graph.Edges() {
+		ab, _ := warm.net.Link(e.A, e.B)
+		ba, _ := warm.net.Link(e.B, e.A)
+		if c := ab.Packets + ba.Packets; c > most {
+			most, cut = c, e
+		}
+		*ab, *ba = LinkStats{}, LinkStats{}
+	}
+	*warm.net.Stats = Stats{}
+	for _, h := range warm.hosts {
+		h.Delivered, h.DeliveredBytes = [5]uint64{}, [5]uint64{}
+	}
+	for _, w := range []world{warm, cold} {
+		if err := w.net.FailLink(cut.A, cut.B); err != nil {
+			t.Fatal(err)
+		}
+		send(w)
+	}
+
+	if cold.net.Stats.Delivered[packet.KindLegit].Packets == 0 {
+		t.Fatal("nothing delivered after the cut")
+	}
+	if *warm.net.Stats != *cold.net.Stats {
+		t.Errorf("network stats differ after cutting (%d,%d):\nwarm %+v\ncold %+v", cut.A, cut.B, *warm.net.Stats, *cold.net.Stats)
+	}
+	differ := 0
+	for _, e := range cold.net.Graph.Edges() {
+		for _, d := range [][2]int{{e.A, e.B}, {e.B, e.A}} {
+			a, _ := warm.net.Link(d[0], d[1])
+			b, _ := cold.net.Link(d[0], d[1])
+			if *a != *b {
+				if differ++; differ <= 5 {
+					t.Errorf("link %d->%d after cutting (%d,%d): warm %+v, cold %+v", d[0], d[1], cut.A, cut.B, *a, *b)
+				}
+			}
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d directed links carried different traffic", differ)
+	}
+	for v := range cold.hosts {
+		if a, b := warm.hosts[v], cold.hosts[v]; a.Delivered != b.Delivered || a.DeliveredBytes != b.DeliveredBytes {
+			t.Errorf("host on node %d: warm delivered %v, cold %v", v, a.Delivered, b.Delivered)
+		}
+	}
+}

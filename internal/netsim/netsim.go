@@ -175,7 +175,7 @@ func NewOnSubstrate(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes
 		byNode: make(map[int][]*Host),
 	}
 	if n.Table == nil {
-		n.Table = routing.NewTable(g, nil)
+		n.Table = routing.NewShared(g, nil)
 	}
 	rslab := make([]router, g.Len())
 	lslab := make([]link, nLinks)
@@ -422,13 +422,13 @@ func (n *Network) drop(now sim.Time, pkt *packet.Packet, reason DropReason, node
 }
 
 // FailLink removes the edge (a, b) from the topology, drops both directed
-// links, repairs routing incrementally, and notifies routing-update
+// links, invalidates the routing cache, and notifies routing-update
 // observers — modelling the routing updates of paper §4.2, on which
 // topology-dependent device configuration must adapt. Packets already in
 // flight on the link still arrive (signal propagation), but nothing new is
-// transmitted. Only cached trees whose shortest paths traversed (a, b)
-// are recomputed, and only their orphaned subtrees — the rest of the
-// routing state is untouched (DESIGN.md §14).
+// transmitted. Routes are rebuilt on demand on the cut graph, so
+// forwarding after the cut does not depend on which routes were cached
+// before it (DESIGN.md §14).
 func (n *Network) FailLink(a, b int) error {
 	if n.shared {
 		return fmt.Errorf("netsim: FailLink on a network sharing substrate state (topology is immutable)")
@@ -440,7 +440,7 @@ func (n *Network) FailLink(a, b int) error {
 	delete(n.links, [2]int{b, a})
 	n.routers[a].setLink(b, nil)
 	n.routers[b].setLink(a, nil)
-	n.Table.LinkDown(a, b)
+	n.Table.Invalidate()
 	for _, fn := range n.routeObs {
 		fn()
 	}

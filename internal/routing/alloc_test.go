@@ -15,23 +15,9 @@ func TestTreeToHitZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := NewTable(g, nil)
 	sh := NewShared(g, nil)
-	if _, err := tbl.TreeTo(7); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := sh.TreeTo(7); err != nil {
 		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if _, err := tbl.TreeTo(7); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := tbl.NextHop(100, 7); !ok {
-			t.Fatal("no route")
-		}
-	}); n != 0 {
-		t.Errorf("Table hit path allocates %v/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := sh.TreeTo(7); err != nil {
@@ -65,43 +51,6 @@ func TestBuildIntoZeroAllocSteadyState(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("warm BuildInto allocates %v/op, want 0", n)
-	}
-}
-
-// Repair must also be allocation-free after warmup (it runs at quiescent
-// points of live simulations).
-func TestRepairZeroAllocSteadyState(t *testing.T) {
-	g, err := topology.BarabasiAlbert(500, 2, sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder(g, nil)
-	tr := &Tree{}
-	if err := b.BuildInto(tr, 0); err != nil {
-		t.Fatal(err)
-	}
-	e := g.Edges()[100]
-	g.RemoveEdge(e.A, e.B)
-	if _, err := b.Repair(tr, e.A, e.B); err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild on the cut graph, re-add + re-remove so each run repairs the
-	// same cut from a consistent tree. The graph mutation itself is not
-	// measured; AllocsPerRun averages, so the AddEdge/RemoveEdge slice
-	// churn is avoided by mutating outside via restoring state per run.
-	if err := g.AddEdge(e.A, e.B); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.BuildInto(tr, 0); err != nil {
-		t.Fatal(err)
-	}
-	g.RemoveEdge(e.A, e.B)
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := b.Repair(tr, e.A, e.B); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("warm Repair allocates %v/op, want 0", n)
 	}
 }
 
@@ -161,41 +110,40 @@ func TestSharedPrebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, src := range []Source{NewShared(g, nil), NewTable(g, nil)} {
-		dsts := []int{3, 50, 50, 199, 0}
-		if err := src.Prebuild(dsts, 4); err != nil {
+	src := NewShared(g, nil)
+	dsts := []int{3, 50, 50, 199, 0}
+	if err := src.Prebuild(dsts, 4); err != nil {
+		t.Fatal(err)
+	}
+	before := src.Stats().Builds
+	if before != 4 {
+		t.Errorf("Prebuild of 4 distinct destinations built %d trees", before)
+	}
+	for _, d := range dsts {
+		if _, err := src.TreeTo(d); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if after := src.Stats().Builds; after != before {
+		t.Errorf("lookups after Prebuild built %d more trees", after-before)
+	}
+	if err := src.Prebuild([]int{-1}, 2); err == nil {
+		t.Error("Prebuild accepted out-of-range destination")
+	}
+	for _, workers := range []int{1, 4} {
 		before := src.Stats().Builds
-		if before != 4 {
-			t.Errorf("%T: Prebuild of 4 distinct destinations built %d trees", src, before)
+		if err := src.Prebuild([]int{7, 8, g.Len(), 9, 10}, workers); err == nil {
+			t.Errorf("workers=%d: Prebuild accepted destination %d among valid ones", workers, g.Len())
 		}
-		for _, d := range dsts {
-			if _, err := src.TreeTo(d); err != nil {
-				t.Fatal(err)
-			}
+		if got := src.Stats().Builds; got != before {
+			t.Errorf("workers=%d: rejected batch built %d trees", workers, got-before)
 		}
-		if after := src.Stats().Builds; after != before {
-			t.Errorf("%T: lookups after Prebuild built %d more trees", src, after-before)
-		}
-		if err := src.Prebuild([]int{-1}, 2); err == nil {
-			t.Errorf("%T: Prebuild accepted out-of-range destination", src)
-		}
-		for _, workers := range []int{1, 4} {
-			before := src.Stats().Builds
-			if err := src.Prebuild([]int{7, 8, g.Len(), 9, 10}, workers); err == nil {
-				t.Errorf("%T workers=%d: Prebuild accepted destination %d among valid ones", src, workers, g.Len())
-			}
-			if got := src.Stats().Builds; got != before {
-				t.Errorf("%T workers=%d: rejected batch built %d trees", src, workers, got-before)
-			}
-		}
-		before = src.Stats().Builds
-		if err := src.Prebuild([]int{11, 11, 3, 11}, 4); err != nil {
-			t.Fatal(err)
-		}
-		if got := src.Stats().Builds; got != before+1 {
-			t.Errorf("%T: repeated destination built %d trees, want 1", src, got-before)
-		}
+	}
+	before = src.Stats().Builds
+	if err := src.Prebuild([]int{11, 11, 3, 11}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Stats().Builds; got != before+1 {
+		t.Errorf("repeated destination built %d trees, want 1", got-before)
 	}
 }

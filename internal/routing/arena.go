@@ -7,8 +7,7 @@ package routing
 // allocations that used to dominate Shared's build churn (three heap
 // objects per tree) down to two slab allocations per slabTrees trees.
 //
-// Not safe for concurrent use; callers serialize (Table is
-// single-goroutine, Shared guards it with the builder mutex).
+// Not safe for concurrent use; Shared guards it with the builder mutex.
 type arena struct {
 	next []int32
 	dist []float64

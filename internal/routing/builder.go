@@ -67,14 +67,9 @@ type Builder struct {
 	g  *topology.Graph
 	w  WeightFunc
 	cw compiled
-	ar *arena // nil: allocate tree arrays with make
 
 	heap []hNode
 	done []bool
-
-	// Repair scratch (see Repair).
-	state []uint8
-	chain []int32
 
 	// scratch is the tree a restricted view builds into and copies its
 	// rows out of (view.go); it is never handed out.
@@ -85,16 +80,10 @@ type Builder struct {
 // means hop count). Weight errors surface from BuildInto, matching
 // BuildTree.
 func NewBuilder(g *topology.Graph, w WeightFunc) *Builder {
-	b := &Builder{}
-	b.init(g, w, nil)
-	return b
-}
-
-func (b *Builder) init(g *topology.Graph, w WeightFunc, ar *arena) {
 	if w == nil {
 		w = UniformWeight
 	}
-	b.g, b.w, b.ar = g, w, ar
+	return &Builder{g: g, w: w}
 }
 
 func (b *Builder) hpush(x hNode) {
@@ -135,15 +124,10 @@ func (b *Builder) hpop() hNode {
 	return it
 }
 
-// grow sizes t's arrays to n nodes, reusing their capacity when possible
-// and otherwise carving from the arena (or plain make without one).
-func (b *Builder) grow(t *Tree, n int) {
+// grow sizes t's arrays to n nodes, reusing their capacity when possible.
+func grow(t *Tree, n int) {
 	if cap(t.Next) >= n && cap(t.Dist) >= n {
 		t.Next, t.Dist = t.Next[:n], t.Dist[:n]
-		return
-	}
-	if b.ar != nil {
-		t.Next, t.Dist = b.ar.alloc(n)
 		return
 	}
 	t.Next, t.Dist = make([]int32, n), make([]float64, n)
@@ -159,7 +143,7 @@ func (b *Builder) BuildInto(t *Tree, dst int) error {
 	if dst < 0 || dst >= n {
 		return fmt.Errorf("routing: destination %d out of range [0,%d)", dst, n)
 	}
-	b.grow(t, n)
+	grow(t, n)
 	t.Dst = dst
 	inf := math.Inf(1)
 	for i := range t.Next {
@@ -198,133 +182,4 @@ func (b *Builder) BuildInto(t *Tree, dst int) error {
 		}
 	}
 	return nil
-}
-
-// Orphan-marking states for Repair.
-const (
-	rsUnknown uint8 = iota
-	rsSafe          // path to root avoids the cut edge (or node unreachable)
-	rsOrphan        // path to root crossed the cut edge
-)
-
-// Repair incrementally fixes tree t after undirected edge (x, y) was
-// removed from the graph, returning whether the tree was affected at all.
-//
-// The tree used the edge iff one endpoint's next hop was the other — an
-// O(1) check that skips roughly half the cached trees for a random cut.
-// For an affected tree, the nodes whose root path crossed the cut edge
-// (the subtree hanging off the child endpoint) are found by memoized
-// parent-chain walks, reset, re-seeded from their intact neighbors, and
-// re-run through a Dijkstra confined to the orphan region. Removing an
-// edge can never shorten a path, so every intact node's distance and
-// parent are final and untouched; repaired orphan distances are
-// bit-identical to a fresh rebuild's (same additions along the chosen
-// path). Equal-cost parent choices inside the orphan region may differ
-// from what a from-scratch build would pick — both are valid shortest-path
-// trees, and FuzzFailLinkRepair pins the equivalence.
-func (b *Builder) Repair(t *Tree, x, y int) (bool, error) {
-	n := len(t.Next)
-	if x < 0 || y < 0 || x >= n || y >= n {
-		return false, nil
-	}
-	if t.Next[x] != int32(y) && t.Next[y] != int32(x) {
-		return false, nil
-	}
-	if err := b.cw.refresh(b.g, b.w); err != nil {
-		return false, err
-	}
-	child := x
-	if t.Next[y] == int32(x) {
-		child = y
-	}
-
-	if cap(b.state) < n {
-		b.state = make([]uint8, n)
-	}
-	state := b.state[:n]
-	for i := range state {
-		state[i] = rsUnknown
-	}
-	state[t.Dst] = rsSafe
-	state[child] = rsOrphan
-	chain := b.chain[:0]
-	for v := 0; v < n; v++ {
-		if state[v] != rsUnknown {
-			continue
-		}
-		u := v
-		for state[u] == rsUnknown {
-			if t.Next[u] == NoRoute {
-				state[u] = rsSafe
-				break
-			}
-			chain = append(chain, int32(u))
-			u = int(t.Next[u])
-		}
-		st := state[u]
-		for _, c := range chain {
-			state[c] = st
-		}
-		chain = chain[:0]
-	}
-	b.chain = chain
-
-	// Reset the orphan region, then seed the heap with the best intact
-	// neighbor of each orphan. Orphans reachable only through other
-	// orphans enter the heap later, via relaxation.
-	inf := math.Inf(1)
-	for v := 0; v < n; v++ {
-		if state[v] == rsOrphan {
-			t.Next[v] = NoRoute
-			t.Dist[v] = inf
-		}
-	}
-	if cap(b.done) < n {
-		b.done = make([]bool, n)
-	}
-	done := b.done[:n]
-	for i := range done {
-		done[i] = false
-	}
-	b.heap = b.heap[:0]
-	csr, wadj := b.cw.csr, b.cw.wadj
-	for v := 0; v < n; v++ {
-		if state[v] != rsOrphan {
-			continue
-		}
-		base := csr.Off[v]
-		for k, u := range csr.Row(v) {
-			if state[u] != rsSafe || math.IsInf(t.Dist[u], 1) {
-				continue
-			}
-			if nd := t.Dist[u] + wadj[int(base)+k]; nd < t.Dist[v] {
-				t.Dist[v] = nd
-				t.Next[v] = u
-			}
-		}
-		if t.Next[v] != NoRoute {
-			b.hpush(hNode{dist: t.Dist[v], node: int32(v)})
-		}
-	}
-	for len(b.heap) > 0 {
-		it := b.hpop()
-		v := it.node
-		if done[v] || it.dist > t.Dist[v] {
-			continue
-		}
-		done[v] = true
-		base := csr.Off[v]
-		dv := t.Dist[v]
-		for k, u := range csr.Row(int(v)) {
-			if state[u] != rsOrphan {
-				continue
-			}
-			if nd := dv + wadj[int(base)+k]; nd < t.Dist[u] {
-				t.Dist[u] = nd
-				t.Next[u] = v
-				b.hpush(hNode{dist: nd, node: u})
-			}
-		}
-	}
-	return true, nil
 }

@@ -64,6 +64,17 @@ func seedBuildTree(g *topology.Graph, dst int, w WeightFunc) (*Tree, error) {
 
 func (q *seedPQ) push(it pqItem) { heap.Push(q, it) }
 
+// intWeight is a deterministic integer-valued weight in {1,2,3}: plenty
+// of equal-cost ties, and shortest distances are exact small integers, so
+// comparisons can demand bit equality without float-associativity
+// caveats.
+func intWeight(a, b int) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	return float64(1 + (uint64(a)*2654435761+uint64(b)*40503)%3)
+}
+
 func treesExactlyEqual(t *testing.T, label string, want, got *Tree) {
 	t.Helper()
 	if want.Dst != got.Dst || len(want.Next) != len(got.Next) {
@@ -94,14 +105,7 @@ func TestBuilderMatchesSeedHeap(t *testing.T) {
 		}
 		var w WeightFunc
 		if weighted {
-			// Deterministic integer weights in {1,2,3}: plenty of ties,
-			// no float-associativity noise.
-			w = func(a, b int) float64 {
-				if a > b {
-					a, b = b, a
-				}
-				return float64(1 + (uint64(a)*2654435761+uint64(b)*40503)%3)
-			}
+			w = intWeight
 		}
 		b := NewBuilder(g, w)
 		tr := &Tree{}
@@ -129,27 +133,21 @@ func TestBuilderMatchesSeedHeap(t *testing.T) {
 	}
 }
 
-// The caches sit on top of the builder; make sure both agree with the seed
-// implementation too (Table exercises the arena-less builder path, Shared
-// the arena-backed one).
+// The cache sits on top of the builder; make sure it agrees with the seed
+// implementation too (Shared builds into arrays carved from its arena,
+// where the test above builds into arrays BuildInto sized itself).
 func TestCachesMatchSeedHeap(t *testing.T) {
 	g, err := topology.BarabasiAlbert(400, 2, sim.NewRNG(99))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := NewTable(g, nil)
 	sh := NewShared(g, nil)
 	for dst := 0; dst < 400; dst += 13 {
 		want, err := seedBuildTree(g, dst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tbl.TreeTo(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		treesExactlyEqual(t, "table vs seed", want, got)
-		got, err = sh.TreeTo(dst)
+		got, err := sh.TreeTo(dst)
 		if err != nil {
 			t.Fatal(err)
 		}

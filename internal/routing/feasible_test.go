@@ -19,7 +19,7 @@ func TestPropertyForwardingPathsAreFeasible(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tbl := NewTable(g, nil)
+		tbl := NewShared(g, nil)
 		rng := sim.NewRNG(seed + 1)
 		for trial := 0; trial < 30; trial++ {
 			src := rng.Intn(n)
@@ -63,7 +63,7 @@ func TestPropertyFeasibleRejectsWrongDirection(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tbl := NewTable(g, nil)
+		tbl := NewShared(g, nil)
 		rng := sim.NewRNG(seed + 2)
 		for trial := 0; trial < 30; trial++ {
 			src := rng.Intn(n)
@@ -90,7 +90,7 @@ func TestPropertyFeasibleRejectsWrongDirection(t *testing.T) {
 
 func TestFeasibleIngressEdgeCases(t *testing.T) {
 	g := topology.Line(4)
-	tbl := NewTable(g, nil)
+	tbl := NewShared(g, nil)
 	if tbl.FeasibleIngress(-1, 0, 3) || tbl.FeasibleIngress(0, -1, 3) {
 		t.Error("negative nodes accepted")
 	}
@@ -108,7 +108,7 @@ func TestFeasibleIngressEdgeCases(t *testing.T) {
 	if err := g2.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	tbl2 := NewTable(g2, nil)
+	tbl2 := NewShared(g2, nil)
 	if tbl2.FeasibleIngress(1, 0, 2) {
 		t.Error("unreachable source accepted")
 	}

@@ -116,33 +116,33 @@ func TestInvalidInputs(t *testing.T) {
 
 func TestTableCaching(t *testing.T) {
 	g := topology.Line(10)
-	tbl := NewTable(g, nil)
+	tbl := NewShared(g, nil)
 	for i := 0; i < 5; i++ {
 		if _, ok := tbl.NextHop(0, 9); !ok {
 			t.Fatal("no route on line")
 		}
 	}
-	if tbl.Builds() != 1 {
-		t.Errorf("builds = %d, want 1 (cached)", tbl.Builds())
+	if b := tbl.Stats().Builds; b != 1 {
+		t.Errorf("builds = %d, want 1 (cached)", b)
 	}
 	if _, ok := tbl.NextHop(9, 0); !ok {
 		t.Fatal("no reverse route")
 	}
-	if tbl.Builds() != 2 {
-		t.Errorf("builds = %d, want 2", tbl.Builds())
+	if b := tbl.Stats().Builds; b != 2 {
+		t.Errorf("builds = %d, want 2", b)
 	}
 	tbl.Invalidate()
 	if _, ok := tbl.NextHop(0, 9); !ok {
 		t.Fatal("no route after invalidate")
 	}
-	if tbl.Builds() != 3 {
-		t.Errorf("builds = %d after invalidate, want 3", tbl.Builds())
+	if b := tbl.Stats().Builds; b != 3 {
+		t.Errorf("builds = %d after invalidate, want 3", b)
 	}
 }
 
 func TestTableNextHopBounds(t *testing.T) {
 	g := topology.Line(3)
-	tbl := NewTable(g, nil)
+	tbl := NewShared(g, nil)
 	if _, ok := tbl.NextHop(-1, 2); ok {
 		t.Error("negative cur accepted")
 	}

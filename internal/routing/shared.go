@@ -10,8 +10,9 @@ import (
 	"dtc/internal/topology"
 )
 
-// Shared is a routing table safe for concurrent readers, used by the sweep
-// runner and the hybrid substrate to let every worker share one set of
+// Shared is the routing cache: a routing table safe for concurrent
+// readers. A simulation that owns its topology keeps a private one; the
+// sweep runner and the hybrid substrate let every worker share one set of
 // shortest-path trees instead of re-running Dijkstra per point.
 //
 // The cache is a fixed-size slot table indexed by destination — topologies
@@ -24,31 +25,30 @@ import (
 // carved from a shared grow-only arena and stay valid until the Shared is
 // dropped; they are never freed or recycled individually.
 //
-// The topology graph must not be mutated while readers are active.
-// Quiescent-point mutations are supported: LinkDown (after a RemoveEdge)
-// repairs affected trees in place, Invalidate drops every slot. Both
-// require the caller to guarantee no concurrent readers.
+// The topology graph must not be mutated while readers are active. After
+// a quiescent-point mutation (a RemoveEdge) the owner calls Invalidate,
+// which drops every slot and view row; the caller guarantees no
+// concurrent readers.
 type Shared struct {
 	g     *topology.Graph
 	w     WeightFunc
 	slots []atomic.Pointer[Tree]
 
 	// cw is the weight-compiled CSR snapshot readers use for feasibility
-	// checks; rebuilt only at quiescent points (construction, LinkDown,
-	// Invalidate), read concurrently otherwise.
+	// checks; rebuilt only at quiescent points (construction, Invalidate),
+	// read concurrently otherwise.
 	cw compiled
 
-	// Builder pool + arena, serialized by mu: builds and repairs are rare
-	// next to reads, so one mutex around scratch acquisition is invisible.
+	// Builder pool + arena, serialized by mu: builds are rare next to
+	// reads, so one mutex around scratch acquisition is invisible.
 	mu       sync.Mutex
 	builders []*Builder
 	arena    arena
 	views    map[string]*view // restricted views by node set (view.go)
 
-	hits    metrics.StripedCounter
-	builds  metrics.AtomicCounter
-	repairs metrics.AtomicCounter
-	invals  metrics.AtomicCounter
+	hits   metrics.StripedCounter
+	builds metrics.AtomicCounter
+	invals metrics.AtomicCounter
 }
 
 var _ Source = (*Shared)(nil)
@@ -102,9 +102,9 @@ func (s *Shared) buildSlot(dst int) (*Tree, error) {
 	return tr, nil
 }
 
-// getBuilder pops a pooled builder. Builders never touch the arena
-// themselves (ar == nil): buildSlot pre-carves tree arrays under the
-// mutex, so a checked-out builder shares nothing mutable.
+// getBuilder pops a pooled builder. Builders never touch the arena:
+// buildSlot pre-carves tree arrays under the mutex, so a checked-out
+// builder shares nothing mutable.
 func (s *Shared) getBuilder() *Builder {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -113,9 +113,7 @@ func (s *Shared) getBuilder() *Builder {
 		s.builders = s.builders[:n-1]
 		return b
 	}
-	b := &Builder{}
-	b.init(s.g, s.w, nil)
-	return b
+	return NewBuilder(s.g, s.w)
 }
 
 func (s *Shared) putBuilder(b *Builder) {
@@ -208,9 +206,12 @@ func (s *Shared) NextHop(cur, dst int) (next int, ok bool) {
 	return n, n != NoRoute
 }
 
-// FeasibleIngress reports whether a packet from node src may legitimately
-// arrive at node `at` from neighbor `from` under shortest-path routing.
-// Semantics match Table.FeasibleIngress exactly.
+// FeasibleIngress reports whether a packet originating at node src may
+// legitimately arrive at node `at` from neighbor `from` under shortest-path
+// routing — i.e. whether `from` lies on *some* shortest path from src to
+// `at`. This is the reverse-path check route-based packet filtering needs;
+// unlike comparing against the single installed next hop, it tolerates
+// equal-cost path choices made by other routers.
 func (s *Shared) FeasibleIngress(at, from, src int) bool {
 	tr, err := s.TreeTo(src)
 	if err != nil {
@@ -219,47 +220,19 @@ func (s *Shared) FeasibleIngress(at, from, src int) bool {
 	return feasible(&s.cw, tr, at, from)
 }
 
-// LinkDown repairs every cached tree after edge (a, b) was removed from
-// the graph (see Table.LinkDown) and drops every view row, which views
-// rebuild on demand. Quiescent-only: callers must guarantee
-// no concurrent readers, exactly like Invalidate.
-func (s *Shared) LinkDown(a, b int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_ = s.cw.refresh(s.g, s.w)
-	var b0 *Builder
-	if n := len(s.builders); n > 0 {
-		b0 = s.builders[n-1]
-	} else {
-		b0 = &Builder{}
-		b0.init(s.g, s.w, nil)
-		s.builders = append(s.builders, b0)
-	}
-	for i := range s.slots {
-		tr := s.slots[i].Load()
-		if tr == nil {
-			continue
-		}
-		if repaired, err := b0.Repair(tr, a, b); err != nil {
-			s.slots[i].Store(nil)
-		} else if repaired {
-			s.repairs.Inc()
-		}
-	}
-	for _, v := range s.views {
-		v.reset()
-	}
-}
-
-// Invalidate drops all cached trees and view rows. Callers must guarantee
-// no concurrent readers. Outstanding *Tree pointers remain readable but
-// stale: the arena is never reset.
+// Invalidate recompiles the weights over the graph's current CSR view and
+// drops every cached tree and view row; each is rebuilt on demand by the
+// same build a cold cache runs, so the answers after a topology change
+// equal a fresh Shared's on the changed graph. Callers must call it after
+// every edge removal (netsim's FailLink does) and guarantee no concurrent
+// readers. Outstanding *Tree pointers remain readable but stale: the arena
+// is never reset.
 func (s *Shared) Invalidate() {
 	for i := range s.slots {
 		s.slots[i].Store(nil)
 	}
 	s.mu.Lock()
-	_ = s.cw.refresh(s.g, s.w)
+	_ = s.cw.refresh(s.g, s.w) // a weight error surfaces from the next build
 	for _, v := range s.views {
 		v.reset()
 	}
@@ -267,17 +240,13 @@ func (s *Shared) Invalidate() {
 	s.invals.Inc()
 }
 
-// Builds reports how many trees have been computed, including discarded
-// duplicate builds from racing goroutines.
-func (s *Shared) Builds() int { return int(s.builds.Value()) }
-
 // Stats returns a snapshot of the cache behaviour counters. Safe to call
-// from any goroutine.
+// from any goroutine. Builds includes discarded duplicate builds from
+// racing goroutines.
 func (s *Shared) Stats() CacheStats {
 	return CacheStats{
 		Hits:          s.hits.Value(),
 		Builds:        s.builds.Value(),
-		Repairs:       s.repairs.Value(),
 		Invalidations: s.invals.Value(),
 	}
 }

@@ -19,12 +19,12 @@ import (
 // (counted in the parent's builds); the bits are feasible()'s own verdicts
 // on that tree. Either way every answer equals the parent's, bit for bit.
 // Rows are published by CAS like Shared's slots, so concurrent readers are
-// safe; the parent's LinkDown and Invalidate drop them (quiescent points),
-// and they are rebuilt on demand.
+// safe; the parent's Invalidate drops them (a quiescent point), and they
+// are rebuilt on demand.
 //
 // Queries from or at nodes outside the set report no route and infeasible
-// ingress: a restricted view never builds a full tree. TreeTo, LinkDown,
-// Invalidate and the counters are the parent's.
+// ingress: a restricted view never builds a full tree. TreeTo, Invalidate
+// and the counters are the parent's.
 type view struct {
 	s     *Shared
 	nodes []int32 // set members, ascending
@@ -220,8 +220,6 @@ func (v *view) FeasibleIngress(at, from, src int) bool {
 }
 
 func (v *view) TreeTo(dst int) (*Tree, error) { return v.s.TreeTo(dst) }
-func (v *view) LinkDown(a, b int)             { v.s.LinkDown(a, b) }
 func (v *view) Invalidate()                   { v.s.Invalidate() }
-func (v *view) Builds() int                   { return v.s.Builds() }
 func (v *view) Stats() CacheStats             { return v.s.Stats() }
 func (v *view) View(nodes []int) Source       { return v.s.View(nodes) }

@@ -79,8 +79,8 @@ func checkViewMatches(t *testing.T, label string, g *topology.Graph, sh *Shared,
 
 // TestSharedViewMatchesFullTrees is the view's differential test: next
 // hops and uRPF verdicts equal the full trees', for rows copied from
-// cached trees and rows built into scratch, before and after LinkDown
-// repair and after Invalidate, on hop-count and tie-heavy weights.
+// cached trees and rows built into scratch, before and after link cuts
+// and after a bare Invalidate, on hop-count and tie-heavy weights.
 func TestSharedViewMatchesFullTrees(t *testing.T) {
 	for _, w := range []WeightFunc{nil, intWeight} {
 		g, err := topology.BarabasiAlbert(240, 2, sim.NewRNG(9))
@@ -110,8 +110,8 @@ func TestSharedViewMatchesFullTrees(t *testing.T) {
 			t.Fatalf("builds = %d, want %d view rows + %d parent trees", got, half, half)
 		}
 
-		// Cut tree edges of a few destinations; the parent repairs its
-		// trees in place and the view's rows are rebuilt from them.
+		// Cut tree edges of a few destinations; Invalidate drops the
+		// parent's trees and the view's rows, and both are rebuilt.
 		for _, d := range []int{0, 17, 101} {
 			tr, err := sh.TreeTo(d)
 			if err != nil {
@@ -125,18 +125,14 @@ func TestSharedViewMatchesFullTrees(t *testing.T) {
 			if !g.RemoveEdge(a, b) {
 				t.Fatalf("edge (%d,%d) not in graph", a, b)
 			}
-			vw.LinkDown(a, b)
-			checkViewMatches(t, "after LinkDown", g, sh, vw, set)
+			vw.Invalidate()
+			checkViewMatches(t, "after a cut", g, sh, vw, set)
 		}
-		if sh.Stats().Repairs == 0 {
-			t.Fatal("no tree was repaired; the cuts missed every tree")
+		if got := sh.Stats().Invalidations; got != 3 {
+			t.Fatalf("invalidations = %d after 3 cuts", got)
 		}
 		vw.Invalidate()
 		checkViewMatches(t, "after Invalidate", g, sh, vw, set)
-	}
-	g := topology.Line(3)
-	if tbl := NewTable(g, nil); tbl.View([]int{1}) != Source(tbl) {
-		t.Fatal("Table.View is not the table itself")
 	}
 }
 
@@ -212,8 +208,8 @@ func viewAnswers(g *topology.Graph, vw Source, set []int) []int {
 
 // TestSharedViewPrebuildMatchesLazy is Prebuild's differential test: at
 // 1, 2 and 8 workers, on hop-count and tie-heavy weights, prebuilt rows
-// answer exactly as lazily built ones, fresh and after LinkDown and
-// Invalidate. Rows whose tree the parent has cached are copied without a
+// answer exactly as lazily built ones, fresh, after a cut and after a
+// bare Invalidate. Rows whose tree the parent has cached are copied without a
 // build, each other destination is built once however often dsts repeats
 // it, and readers may query cold rows while Prebuild runs.
 func TestSharedViewPrebuildMatchesLazy(t *testing.T) {
@@ -233,9 +229,7 @@ func checkPrebuildMatchesLazy(t *testing.T, w WeightFunc, workers int) {
 	}
 	set := viewSet(g)
 	// Both caches hold every third destination's full tree, whose rows
-	// are copies. LinkDown repairs those trees in place, and a repaired
-	// tree may break equal-cost ties unlike a fresh build, so the lazy
-	// reference keeps the same trees to copy from.
+	// are copies; the other rows are built into scratch.
 	lazyParent, sh := NewShared(g, w), NewShared(g, w)
 	cached := 0
 	for d := 0; d < g.Len(); d += 3 {
@@ -339,11 +333,10 @@ func checkPrebuildMatchesLazy(t *testing.T, w WeightFunc, workers int) {
 	if !g.RemoveEdge(a, b) {
 		t.Fatalf("edge (%d,%d) not in graph", a, b)
 	}
-	lazy.LinkDown(a, b)
-	vw.LinkDown(a, b)
-	// LinkDown repairs the parent's cached trees in place, so their rows
-	// are copies again.
-	prebuild("after LinkDown", g.Len()-cached)
+	lazy.Invalidate()
+	vw.Invalidate()
+	// The cut dropped every cached tree, so every row is built again.
+	prebuild("after a cut", g.Len())
 
 	lazy.Invalidate()
 	vw.Invalidate()

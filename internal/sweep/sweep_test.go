@@ -125,7 +125,7 @@ func TestSubstrateSharedAcrossPoints(t *testing.T) {
 			t.Errorf("point %d: shared=%+v private=%+v", i, got[i], want[i])
 		}
 	}
-	if sub.Routes.Builds() < 1 {
+	if sub.Routes.Stats().Builds < 1 {
 		t.Error("shared table built no trees")
 	}
 }
