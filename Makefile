@@ -69,7 +69,8 @@ deploy-smoke:
 # Short fuzz pass over the wire-format and parser fuzz targets, routing
 # after link cuts against a fresh cache, the event core against a container/heap reference, random
 # hostile service graphs on the device (§4.5 invariants, batch == single),
-# and the anti-replay window against a map-based specification.
+# the anti-replay window against a map-based specification, and the flow
+# walker against its path-materializing oracle.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/packet/
 	$(GO) test -fuzz=FuzzParsePrefix -fuzztime=10s ./internal/packet/
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDeviceGraphs -fuzztime=10s ./internal/device/
 	$(GO) test -fuzz=FuzzReplayWindow -fuzztime=10s ./internal/auth/
+	$(GO) test -fuzz=FuzzRouteMatchesOracle -fuzztime=10s ./internal/flowsim/
 
 # Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
 # Bump BENCH_OUT in the PR that changes performance-relevant code.

@@ -249,7 +249,7 @@ func BenchmarkRelayForwarding(b *testing.B) {
 	}
 	cfg := netsim.LinkConfig{Bandwidth: 1e10, Delay: sim.Millisecond, QueueCap: 1 << 20}
 	s := sim.New(42)
-	net, err := netsim.NewOnSubstrate(s, g, cfg, routing.NewShared(g, nil), sweep.NodeOwners(g))
+	net, err := netsim.NewOnSubstrate(s, g, cfg, routing.NewShared(g, nil), netsim.NodeOwners(g))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -648,33 +648,31 @@ func BenchmarkSweepE10(b *testing.B) {
 	b.Run("substrate-parallel", func(b *testing.B) { run(b, true, 0) })
 }
 
-// BenchmarkFlowEvalBatch compares the per-flow Route loop against the
-// batched hop-synchronous pass over the same warm routing table.
+// BenchmarkFlowEvalBatch measures EvalBatch, the flow model's batch
+// front-end, over warm routing trees: one per-flow tree walk plus the
+// in-order reduction, reported per flow.
 func BenchmarkFlowEvalBatch(b *testing.B) {
 	g, flows, points := sweepBenchWorld(b)
 	m := flowsim.New(g)
 	if err := m.Deploy(points[3], true); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := m.Evaluate(flows); err != nil { // warm the routing trees
+	if _, err := m.EvalBatch(flows); err != nil { // warm the routing trees
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, eval func([]flowsim.Flow) (flowsim.Sweep, error)) {
-		var last flowsim.Sweep
-		for i := 0; i < b.N; i++ {
-			s, err := eval(flows)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = s
+	b.ResetTimer()
+	var last flowsim.Sweep
+	for i := 0; i < b.N; i++ {
+		s, err := m.EvalBatch(flows)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if last.Flows != len(flows) {
-			b.Fatal("short sweep")
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(flows)), "ns/flow")
+		last = s
 	}
-	b.Run("route-per-flow", func(b *testing.B) { run(b, m.Evaluate) })
-	b.Run("batched", func(b *testing.B) { run(b, m.EvalBatch) })
+	if last.Flows != len(flows) {
+		b.Fatal("short sweep")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(flows)), "ns/flow")
 }
 
 // BenchmarkCtlLoad measures control-plane throughput over real loopback

@@ -39,10 +39,9 @@ func TestModelBasics(t *testing.T) {
 	if !r.Delivered {
 		t.Errorf("genuine source dropped: %+v", r)
 	}
-	m.Reset()
-	r, _ = m.Route(&flowsim.Flow{From: 0, To: 3, Rate: 1, Size: 1, Src: flowsim.SrcUnallocated})
+	r, _ = flowsim.New(g).Route(&flowsim.Flow{From: 0, To: 3, Rate: 1, Size: 1, Src: flowsim.SrcUnallocated})
 	if !r.Delivered {
-		t.Error("Reset did not clear deployment")
+		t.Error("a fresh model filtered without a deployment")
 	}
 	if err := m.Deploy([]int{99}, true); err == nil {
 		t.Error("out-of-range deployment accepted")
@@ -62,7 +61,7 @@ func TestModelEdgeOnlySparesTransit(t *testing.T) {
 		t.Errorf("edge-only filtered transit traffic: %+v", r)
 	}
 	// …but is caught when the filter sits at the stub-facing first hop.
-	m.Reset()
+	m = flowsim.New(g)
 	if err := m.Deploy([]int{1}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +169,9 @@ func TestCrossValidationAgainstPacketSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if want, _ := m.OracleRoute(f); !flowsim.SameResult(r, want) {
+					t.Errorf("%s agent %d: Route=%+v oracle=%+v", name, i, r, want)
+				}
 				predictedByteHops += r.ByteHops
 				got := deliveredByPort[uint16(10000+i)]
 				if r.Delivered && got != pktsPerAgent {
@@ -200,9 +202,12 @@ func TestEvaluateAggregates(t *testing.T) {
 		{From: 0, To: 4, Rate: 20, Size: 100, Src: flowsim.SrcUnallocated},
 		{From: 3, To: 4, Rate: 30, Size: 100, Src: flowsim.SrcUnallocated}, // no filter on path
 	}
-	s, err := m.Evaluate(flows)
+	s, err := m.EvalBatch(flows)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want, _ := m.OracleEvaluate(flows); !flowsim.SameSweep(s, want) {
+		t.Errorf("EvalBatch=%+v oracle=%+v", s, want)
 	}
 	if s.Flows != 3 || s.Delivered != 2 {
 		t.Errorf("sweep = %+v", s)
@@ -215,9 +220,10 @@ func TestEvaluateAggregates(t *testing.T) {
 	}
 }
 
-// TestEvalBatchMatchesEvaluate is EvalBatch's contract: bit-identical
-// aggregates to the per-flow path, across source kinds, deployment styles
-// and multiple destinations, whether routes are private or shared.
+// TestEvalBatchMatchesEvaluate is the walker's contract: Route's fates
+// and EvalBatch's aggregates are bit-identical to the path-materializing
+// oracle's, across source kinds, deployment styles and multiple
+// destinations, whether routes are private or shared.
 func TestEvalBatchMatchesEvaluate(t *testing.T) {
 	seed := uint64(41)
 	s := sim.New(seed)
@@ -252,7 +258,7 @@ func TestEvalBatchMatchesEvaluate(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want, err := a.Evaluate(flows)
+			want, err := a.OracleEvaluate(flows)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,8 +267,14 @@ func TestEvalBatchMatchesEvaluate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Errorf("strict=%v frac=%v %s: EvalBatch=%+v Evaluate=%+v", strict, frac, name, got, want)
+				if !flowsim.SameSweep(got, want) {
+					t.Errorf("strict=%v frac=%v %s: EvalBatch=%+v oracle=%+v", strict, frac, name, got, want)
+				}
+				for i := range flows {
+					r, _ := m.Route(&flows[i])
+					if w, _ := a.OracleRoute(&flows[i]); !flowsim.SameResult(r, w) {
+						t.Fatalf("strict=%v frac=%v %s flow %d: Route=%+v oracle=%+v", strict, frac, name, i, r, w)
+					}
 				}
 			}
 		}
@@ -270,8 +282,8 @@ func TestEvalBatchMatchesEvaluate(t *testing.T) {
 	// Error behaviour: bad destination surfaces from both paths.
 	bad := []flowsim.Flow{{From: 0, To: 1, Rate: 1, Size: 1}, {From: 0, To: -5, Rate: 1, Size: 1}}
 	m := flowsim.New(g)
-	if _, err := m.Evaluate(bad); err == nil {
-		t.Error("Evaluate accepted bad destination")
+	if _, err := m.OracleEvaluate(bad); err == nil {
+		t.Error("oracle accepted bad destination")
 	}
 	if _, err := m.EvalBatch(bad); err == nil {
 		t.Error("EvalBatch accepted bad destination")
@@ -352,9 +364,13 @@ func TestCrossValidationOnTransitStub(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, cfg := range agents {
-			r, err := m.Route(&flowsim.Flow{From: cfg.node, To: victimNode, Rate: pkts, Size: 120, Src: cfg.kind, SpoofNode: cfg.sp})
+			f := &flowsim.Flow{From: cfg.node, To: victimNode, Rate: pkts, Size: 120, Src: cfg.kind, SpoofNode: cfg.sp}
+			r, err := m.Route(f)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want, _ := m.OracleRoute(f); !flowsim.SameResult(r, want) {
+				t.Errorf("strict=%v agent %d: Route=%+v oracle=%+v", strict, i, r, want)
 			}
 			got := deliveredByPort[uint16(20000+i)]
 			if r.Delivered != (got == pkts) || (!r.Delivered && got != 0) {
@@ -452,8 +468,12 @@ func TestPropertyGenuineWalksPassEveryFilter(t *testing.T) {
 								name, seed, stage, f.From, f.To, i, path[i], path[i-1])
 						}
 					}
-					if r, err := m.Route(&f); err != nil || !r.Delivered {
+					r, err := m.Route(&f)
+					if err != nil || !r.Delivered {
 						t.Fatalf("%s seed %d %s: genuine flow %d->%d not delivered: %+v %v", name, seed, stage, f.From, f.To, r, err)
+					}
+					if want, _ := m.OracleRoute(&f); !flowsim.SameResult(r, want) {
+						t.Fatalf("%s seed %d %s: flow %d->%d Route=%+v oracle=%+v", name, seed, stage, f.From, f.To, r, want)
 					}
 				}
 			}

@@ -220,7 +220,10 @@ func (w *World) applyResidual() error {
 		if err != nil {
 			return err
 		}
-		fate := w.Fluid.FateFrom(tr, f, f.From, f.From)
+		fate, err := w.Fluid.Route(f)
+		if err != nil {
+			return err
+		}
 		limit := fate.DropHop
 		if fate.Delivered {
 			limit = -1

@@ -91,11 +91,7 @@ func NewWorld(cfg Config, clients *Clients) (*World, error) {
 		w.routes = routing.NewShared(g, nil)
 	}
 	if w.owners == nil {
-		var t ownership.Trie[int]
-		for i := 0; i < g.Len(); i++ {
-			t.Insert(netsim.NodePrefix(i), i)
-		}
-		w.owners = t.Compiled()
+		w.owners = netsim.NodeOwners(g)
 	}
 	cone, err := ExtractCone(g, w.routes, cfg.Victim, cfg.Radius, cfg.Focus)
 	if err != nil {
@@ -307,12 +303,7 @@ func (w *World) Start(start, stop sim.Time) error {
 		for _, m := range inj.members {
 			spec := w.Clients.Spec(int(m))
 			dstNode, _ := w.nodeOfAddr(spec.Dst)
-			tr, err := w.routes.TreeTo(dstNode)
-			if err != nil {
-				return err
-			}
-			src := w.Clients.Node(int(m))
-			flow = flowsim.Flow{From: src, To: dstNode, Src: flowsim.SrcGenuine}
+			flow = flowsim.Flow{From: w.Clients.Node(int(m)), To: dstNode, Src: flowsim.SrcGenuine}
 			if spec.Spoof != 0 {
 				if sn, ok := w.nodeOfAddr(spec.Spoof); ok {
 					flow.Src, flow.SpoofNode = flowsim.SrcOfNode, sn
@@ -320,7 +311,11 @@ func (w *World) Start(start, stop sim.Time) error {
 					flow.Src = flowsim.SrcUnallocated
 				}
 			}
-			if w.Fluid.FateFrom(tr, &flow, src, src).Delivered {
+			fate, err := w.Fluid.Route(&flow)
+			if err != nil {
+				return err
+			}
+			if fate.Delivered {
 				live = append(live, m)
 			} else if k := int(spec.Kind); k < len(w.FluidCutCount) {
 				w.FluidCutCount[k]++

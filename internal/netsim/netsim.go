@@ -99,8 +99,7 @@ type Network struct {
 
 	routers  []*router
 	links    map[[2]int]*link
-	addrMap  ownership.Trie[int]      // prefix -> node; unused when owners is set
-	owners   *ownership.Compiled[int] // shared immutable prefix->node map, or nil
+	owners   *ownership.Compiled[int] // immutable NodePrefix(i) -> i map, possibly shared
 	shared   bool                     // routing/ownership borrowed from a substrate
 	hosts    map[packet.Addr]*Host    // global host directory
 	byNode   map[int][]*Host          // hosts per node
@@ -148,14 +147,17 @@ func New(s *sim.Simulation, g *topology.Graph, cfg LinkConfig) (*Network, error)
 
 // NewOnSubstrate builds a network over g reusing precomputed read-only
 // substrate state: routes (a concurrency-safe routing.Source, typically
-// *routing.Shared) and owners (the compiled NodePrefix(i)->i address map).
-// Either may be nil, in which case the network builds its own. Sweeps use
+// *routing.Shared) and owners (the NodeOwners address map). Either may be
+// nil, in which case the network builds its own. Sweeps use
 // this to share one Dijkstra cache and one compiled trie across every point
 // instead of rebuilding them per simulation. Networks on a shared substrate
 // must not mutate topology: FailLink returns an error.
 func NewOnSubstrate(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes routing.Source, owners *ownership.Compiled[int]) (*Network, error) {
 	if cfg.Bandwidth <= 0 || cfg.Delay < 0 || cfg.QueueCap < 1 {
 		return nil, fmt.Errorf("netsim: invalid link config %+v", cfg)
+	}
+	if g.Len() > maxNodes {
+		return nil, fmt.Errorf("netsim: %d nodes exceed the %d /16 node address blocks", g.Len(), maxNodes)
 	}
 	// Routers and directed links come out of one contiguous slab each: a
 	// 7000-link network costs two allocations instead of 14000, and the
@@ -176,6 +178,9 @@ func NewOnSubstrate(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes
 	}
 	if n.Table == nil {
 		n.Table = routing.NewShared(g, nil)
+	}
+	if n.owners == nil {
+		n.owners = NodeOwners(g)
 	}
 	rslab := make([]router, g.Len())
 	lslab := make([]link, nLinks)
@@ -200,9 +205,6 @@ func NewOnSubstrate(s *sim.Simulation, g *topology.Graph, cfg LinkConfig, routes
 		slices.Sort(nbr)
 		*r = router{net: n, node: i, nbr: nbr, out: outSlab[base : base+len(row) : base+len(row)], lastB: -1}
 		n.routers[i] = r
-		if owners == nil {
-			n.addrMap.Insert(NodePrefix(i), i)
-		}
 	}
 	for _, e := range edges {
 		ab := newLink(e.A, e.B)
@@ -235,6 +237,10 @@ func (n *Network) PutPacket(p *packet.Packet) {
 	n.pktPool = append(n.pktPool, p)
 }
 
+// maxNodes is the number of /16 node address blocks in the IPv4 space:
+// NodePrefix(maxNodes) would wrap around to node 0's block.
+const maxNodes = 1 << 16
+
 // NodePrefix returns the /16 address block assigned to topology node id.
 // Node i owns addresses i<<16 .. i<<16+65535, so the simulator supports up
 // to 65536 nodes with 65534 hosts each.
@@ -242,13 +248,21 @@ func NodePrefix(id int) packet.Prefix {
 	return packet.MakePrefix(packet.Addr(uint32(id)<<16), 16)
 }
 
+// NodeOwners compiles the NodePrefix(i) -> i address map over g's nodes.
+// Every network resolves addresses through one; sweep points and hybrid
+// worlds build it once and share it.
+func NodeOwners(g *topology.Graph) *ownership.Compiled[int] {
+	var t ownership.Trie[int]
+	for i := 0; i < g.Len(); i++ {
+		t.Insert(NodePrefix(i), i)
+	}
+	return t.Compiled()
+}
+
 // NodeOfAddr returns the topology node owning address a. It resolves
 // through the compiled address map: this runs once per packet per hop.
 func (n *Network) NodeOfAddr(a packet.Addr) (int, bool) {
-	if n.owners != nil {
-		return n.owners.Lookup(a)
-	}
-	return n.addrMap.Compiled().Lookup(a)
+	return n.owners.Lookup(a)
 }
 
 // SetLinkConfig reconfigures the directed link a->b (and only that

@@ -373,6 +373,52 @@ func TestAddressing(t *testing.T) {
 	}
 }
 
+// TestNodeOwnersMatchesNetsim pins the one node address map: every
+// node's first host address resolves to that node, through NodeOwners and
+// through a network that built its own map, and the first address past
+// the last node's block resolves to nothing.
+func TestNodeOwnersMatchesNetsim(t *testing.T) {
+	s := sim.New(11)
+	g, err := topology.BarabasiAlbert(40, 2, s.RNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners := NodeOwners(g)
+	if owners.Len() != g.Len() {
+		t.Fatalf("owners has %d prefixes, want %d", owners.Len(), g.Len())
+	}
+	net, err := New(s, g, DefaultLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g.Len(); i++ {
+		a := NodePrefix(i).Nth(1)
+		if node, ok := owners.Lookup(a); !ok || node != i {
+			t.Errorf("NodeOwners(%v) = %d,%v, want %d", a, node, ok, i)
+		}
+		if node, ok := net.NodeOfAddr(a); !ok || node != i {
+			t.Errorf("NodeOfAddr(%v) = %d,%v, want %d", a, node, ok, i)
+		}
+	}
+	past := NodePrefix(g.Len()).Nth(0)
+	if node, ok := owners.Lookup(past); ok {
+		t.Errorf("NodeOwners(%v) = %d, want a miss", past, node)
+	}
+	if node, ok := net.NodeOfAddr(past); ok {
+		t.Errorf("NodeOfAddr(%v) = %d, want a miss", past, node)
+	}
+}
+
+// TestTooManyNodesRejected: a /16 per node leaves room for 65,536 nodes.
+// Past that NodePrefix wraps, so node 65536's block would alias node 0's
+// and a host on node 0 would resolve to another node.
+func TestTooManyNodesRejected(t *testing.T) {
+	if _, err := New(sim.New(1), topology.Line(maxNodes+1), DefaultLink); err == nil {
+		t.Fatalf("a %d-node network was accepted; NodePrefix(%d) = %v aliases node 0's %v",
+			maxNodes+1, maxNodes, NodePrefix(maxNodes), NodePrefix(0))
+	}
+}
+
 func TestOnDropObserver(t *testing.T) {
 	s, net, a, b := buildLine(t, 3)
 	var reasons []DropReason

@@ -107,16 +107,6 @@ func NewSubstrate(g *topology.Graph) *Substrate {
 	return &Substrate{
 		Graph:  g,
 		Routes: routing.NewShared(g, nil),
-		Owners: NodeOwners(g),
+		Owners: netsim.NodeOwners(g),
 	}
-}
-
-// NodeOwners compiles the NodePrefix(i) -> i address map netsim builds for
-// every network, so sweep points can share one copy.
-func NodeOwners(g *topology.Graph) *ownership.Compiled[int] {
-	var t ownership.Trie[int]
-	for i := 0; i < g.Len(); i++ {
-		t.Insert(netsim.NodePrefix(i), i)
-	}
-	return t.Compiled()
 }

@@ -189,15 +189,3 @@ func TestGetSubstrateEvicts(t *testing.T) {
 		t.Error("oldest entry survived past the cache cap")
 	}
 }
-
-func TestNodeOwnersMatchesNetsim(t *testing.T) {
-	s := sim.New(11)
-	g, err := topology.BarabasiAlbert(40, 2, s.RNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := NodeOwners(g)
-	if owners.Len() != g.Len() {
-		t.Fatalf("owners has %d prefixes, want %d", owners.Len(), g.Len())
-	}
-}
