@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dtc/internal/flowsim"
+	"dtc/internal/netsim"
 	"dtc/internal/sim"
 	"dtc/internal/topology"
 )
@@ -187,5 +188,35 @@ func TestGetSubstrateEvicts(t *testing.T) {
 	again, _ := GetSubstrate(Key{Name: "k0"}, mk)
 	if again == first {
 		t.Error("oldest entry survived past the cache cap")
+	}
+}
+
+// TestNodeOwnersMatchesNetsim: the owner map a Substrate shares with its
+// sweep points matches the one a network builds for itself, so a network
+// on the substrate resolves every node's hosts as a fresh one would.
+func TestNodeOwnersMatchesNetsim(t *testing.T) {
+	s := sim.New(11)
+	g, err := topology.BarabasiAlbert(40, 2, s.RNG())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := NewSubstrate(g)
+	if sub.Owners.Len() != g.Len() {
+		t.Fatalf("owners has %d prefixes, want %d", sub.Owners.Len(), g.Len())
+	}
+	own, err := netsim.New(s, g, netsim.DefaultLink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := netsim.NewOnSubstrate(s, g, netsim.DefaultLink, sub.Routes, sub.Owners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= g.Len(); i++ {
+		a := netsim.NodePrefix(i).Nth(1)
+		want, wantOK := own.NodeOfAddr(a)
+		if got, ok := shared.NodeOfAddr(a); got != want || ok != wantOK {
+			t.Errorf("NodeOfAddr(%v) on the substrate = %d,%v, want %d,%v", a, got, ok, want, wantOK)
+		}
 	}
 }
