@@ -3,17 +3,18 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-cpu chaos deploy-smoke vet vuln fmtcheck fuzz bench benchcmp benchfull experiments examples clean
+.PHONY: all check build test race test-cpu chaos deploy-smoke perf-gate vet vuln fmtcheck fuzz bench experiments examples clean
 
 all: build vet fmtcheck test
 
 # The pre-commit gate: everything `all` runs (including `go vet`) plus the
-# benchmark regression comparison against the previous PR's recorded
-# baseline, the chaos suite (fault injection + recovery), the whole suite
-# under the race detector and at GOMAXPROCS 1 and 2, a best-effort
-# vulnerability scan, and the multi-process deployment smoke (real OS
-# processes over loopback TCP, torn down with an orphan check).
-check: all benchcmp chaos race test-cpu vuln deploy-smoke
+# performance gate (the repository benchmark's workloads run at the base
+# revision and in the working tree), the chaos suite (fault injection +
+# recovery), the whole suite under the race detector and at GOMAXPROCS 1
+# and 2, a best-effort vulnerability scan, and the multi-process
+# deployment smoke (real OS processes over loopback TCP, torn down with an
+# orphan check).
+check: all perf-gate chaos race test-cpu vuln deploy-smoke
 
 build:
 	$(GO) build ./...
@@ -84,25 +85,20 @@ fuzz:
 	$(GO) test -fuzz=FuzzReplayWindow -fuzztime=10s ./internal/auth/
 	$(GO) test -fuzz=FuzzRouteMatchesOracle -fuzztime=10s ./internal/flowsim/
 
-# Hot-path micro-benchmarks, recorded as the per-PR performance trajectory.
-# Bump BENCH_OUT in the PR that changes performance-relevant code.
-MICROBENCH = BenchmarkDeviceFastPath|BenchmarkDeviceTwoStage|BenchmarkDeviceProcessBatch|BenchmarkTrieLookup|BenchmarkCompiledTrieLookup|BenchmarkEventQueue|BenchmarkPacketForwarding|BenchmarkRelayForwarding|BenchmarkSweepE10|BenchmarkFlowEvalBatch|BenchmarkTelemetryWire|BenchmarkDetectorObserve|BenchmarkPromExposition|BenchmarkE15Hybrid|BenchmarkHybridMemory|BenchmarkCtlLoad|BenchmarkRoutingBuildTree|BenchmarkSharedTreeToParallel|BenchmarkConeViewRows
-BENCH_OUT ?= BENCH_PR10.json
-BENCH_BASE ?= BENCH_PR9.json
-
-# Three samples per benchmark; benchjson keeps the per-metric minimum,
-# which filters scheduling noise on shared machines.
+# Every micro-benchmark in the repo (hot paths, figure/claim
+# reproductions), for measuring while you work. Nothing is recorded: the
+# repository benchmark is perfbench (BENCHMARK.json), gated by perf-gate.
 bench:
-	$(GO) test -bench='$(MICROBENCH)' -benchmem -run='^$$' -count=3 -timeout 40m . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+	$(GO) test -bench=. -benchmem -run='^$$' -timeout 40m ./...
 
-# Compare the current recording against the previous PR's baseline; fails
-# on a >20% ns/op or allocs/op regression in any shared benchmark.
-benchcmp:
-	$(GO) run ./cmd/benchjson -old $(BENCH_BASE) -new $(BENCH_OUT)
-
-# Every benchmark in the repo (figure/claim reproductions included).
-benchfull:
-	$(GO) test -bench=. -benchmem -run=^$$ ./...
+# The performance gate: every BENCHMARK.json workload runs through
+# perfbench in the base revision (exported under .bench_build/perfgate/)
+# and in the working tree, three alternating pairs each; fails on an
+# incorrect run, a higher failed ratio, or an end-to-end median worse than
+# its BENCHMARK.json bound. BASE=<rev> sets the base (default: the
+# merge-base of HEAD and its upstream). About 10 minutes on 2 cores.
+perf-gate:
+	BASE=$(BASE) $(GO) run ./cmd/perfgate
 
 # Regenerate every paper table/figure at full size (results/full_run.txt).
 experiments:

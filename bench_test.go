@@ -433,16 +433,16 @@ func BenchmarkE14FaultInjection(b *testing.B) { benchExperiment(b, "e14") }
 
 // BenchmarkE15Hybrid runs the hybrid fluid/packet reflector-defense sweep
 // (quick sizes) end to end: cone extraction, boundary injector schedules,
-// fluid residual capacities and the packet core. This is the wall-clock
-// record for the substrate in the per-PR trajectory.
+// fluid residual capacities and the packet core. perfbench's
+// hybrid_internet workload is the full-size record.
 func BenchmarkE15Hybrid(b *testing.B) { benchExperiment(b, "e15") }
 
 // BenchmarkHybridMemory builds the full-size e15 client table — 18k ASes,
 // over a million modeled stub clients — and reports the per-client
 // footprint of the SoA host table as bytes/host (DESIGN.md §12). The
 // table is the only per-client state the hybrid world keeps outside the
-// victim cone, so this metric IS the substrate's memory story; benchjson
-// records and regression-gates it alongside ns/op.
+// victim cone, so this metric IS the substrate's memory story at the
+// layer; perfbench's hybrid_internet peak_heap_mb is the end-to-end one.
 func BenchmarkHybridMemory(b *testing.B) {
 	g, err := topology.BarabasiAlbert(18000, 2, sim.NewRNG(42))
 	if err != nil {
@@ -677,8 +677,7 @@ func BenchmarkFlowEvalBatch(b *testing.B) {
 
 // BenchmarkCtlLoad measures control-plane throughput over real loopback
 // TCP under many concurrent callers, one connection per caller. Reports
-// aggregate ops/s (higher-is-better, gated by benchjson) and the p99 call
-// latency.
+// aggregate ops/s (higher is better) and the p99 call latency.
 func BenchmarkCtlLoad(b *testing.B) {
 	const workers = 64
 	pong := any(json.RawMessage(`"pong"`))

@@ -39,13 +39,6 @@ type ControlParams struct {
 type NMSParams struct {
 	Cert   *auth.Certificate   `json:"cert"`
 	Signed *auth.SignedRequest `json:"signed"`
-	Relay  bool                `json:"relay,omitempty"` // NMS deploy: forward to peers
-}
-
-// RelayResult aggregates a relayed deployment.
-type RelayResult struct {
-	Results []*nms.DeployResult `json:"results"`
-	Errors  []string            `json:"errors,omitempty"`
 }
 
 // ReportParams is the payload of the TCSP "report" method: one ISP's
@@ -123,14 +116,6 @@ func NMSHandler(m *nms.NMS) Handler {
 		}
 		switch method {
 		case "deploy":
-			if p.Relay {
-				results, errs := m.DeployWithRelay(p.Cert, p.Signed)
-				rr := &RelayResult{Results: results}
-				for _, e := range errs {
-					rr.Errors = append(rr.Errors, e.Error())
-				}
-				return rr, nil
-			}
 			return m.Deploy(p.Cert, p.Signed)
 		case "control":
 			return m.Control(p.Cert, p.Signed)
@@ -222,15 +207,6 @@ func NewNMSClient(c *Client) *NMSClient { return &NMSClient{c: c} }
 func (n *NMSClient) Deploy(cert *auth.Certificate, signed *auth.SignedRequest) (*nms.DeployResult, error) {
 	var out nms.DeployResult
 	if err := n.c.Call("deploy", &NMSParams{Cert: cert, Signed: signed}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// DeployWithRelay asks the remote NMS to deploy and forward to its peers.
-func (n *NMSClient) DeployWithRelay(cert *auth.Certificate, signed *auth.SignedRequest) (*RelayResult, error) {
-	var out RelayResult
-	if err := n.c.Call("deploy", &NMSParams{Cert: cert, Signed: signed, Relay: true}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

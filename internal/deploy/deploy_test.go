@@ -2,10 +2,13 @@ package deploy
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"testing"
 	"time"
+
+	"dtc/internal/ctl"
 )
 
 // TestMain doubles as the child-role entry point: the harness re-executes
@@ -141,6 +144,59 @@ func TestDeployPortCollision(t *testing.T) {
 	}
 	checkLoad(t, d.Spec, res)
 	teardownClean(t, d)
+}
+
+// TestDeployWatchResumesOnHubSeq pins the deployment TCSP's watch stream
+// to hub-global sequence numbers: the envelope carries the update's own
+// Seq, and a subscriber resuming after a consumed update gets the rest of
+// the retained window replayed, with no gap.
+func TestDeployWatchResumesOnHubSeq(t *testing.T) {
+	d, err := Launch(Spec{
+		ISPs: 1, NodesPerISP: 2, UserProcs: 1, UsersPerProc: 1, Updates: 1,
+		TelemetryMS: 20,
+		Exe:         os.Args[0],
+		LogDir:      t.TempDir(),
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Teardown()
+
+	recv := func(p *WatchParams) []uint64 {
+		cl, err := ctl.Dial(d.TCSP.Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		st, err := cl.Subscribe("watch", p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []uint64
+		for {
+			var u WatchUpdate
+			if err := st.Recv(&u); err == io.EOF {
+				return seqs
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if u.Seq == 0 || u.Seq != st.Seq() {
+				t.Fatalf("update seq %d, envelope seq %d", u.Seq, st.Seq())
+			}
+			seqs = append(seqs, u.Seq)
+		}
+	}
+	first := recv(&WatchParams{Count: 3})
+	second := recv(&WatchParams{AfterSeq: first[0], Count: 4})
+	for i, q := range second {
+		if q != first[0]+1+uint64(i) {
+			t.Fatalf("resumed after %d, got %v", first[0], second)
+		}
+	}
+	if _, err := d.WaitUserStats(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDeployFullScale is the acceptance-scale run: four ISP processes and

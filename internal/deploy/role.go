@@ -145,48 +145,16 @@ type WatchUpdate struct {
 	Drops   uint64 `json:"drops"`
 }
 
+// StreamSeq stamps the hub-global sequence number onto the stream
+// envelope, so ctl.Subscriber can resume and dedupe across reconnects.
+func (u WatchUpdate) StreamSeq() uint64 { return u.Seq }
+
 // WatchParams shapes a watch subscription.
 type WatchParams struct {
-	Count    int    `json:"count,omitempty"` // <=0 streams forever
+	Count int `json:"count,omitempty"` // <=0 streams forever
+	// AfterSeq resumes after a hub sequence number already consumed:
+	// retained updates with Seq > AfterSeq replay first.
 	AfterSeq uint64 `json:"after_seq,omitempty"`
-}
-
-// watchHub fans report-ingest summaries out to subscribers, each behind a
-// bounded drop-oldest queue so a slow watcher never stalls ingest.
-type watchHub struct {
-	mu   sync.Mutex
-	seq  uint64
-	next int
-	subs map[int]*telemetry.Queue[WatchUpdate]
-}
-
-func newWatchHub() *watchHub {
-	return &watchHub{subs: make(map[int]*telemetry.Queue[WatchUpdate])}
-}
-
-func (h *watchHub) publish(u WatchUpdate) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seq++
-	u.Seq = h.seq
-	for _, q := range h.subs {
-		q.Push(u)
-	}
-}
-
-func (h *watchHub) subscribe() (int, *telemetry.Queue[WatchUpdate]) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.next++
-	q := telemetry.NewQueue[WatchUpdate](64)
-	h.subs[h.next] = q
-	return h.next, q
-}
-
-func (h *watchHub) unsubscribe(id int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.subs, id)
 }
 
 // tcspStats is the "stats" method reply.
@@ -228,7 +196,7 @@ func runTCSP() error {
 		snaps []*telemetry.Snapshot
 	}
 	ingest := telemetry.NewQueue[reportBatch](ingestCap)
-	hub := newWatchHub()
+	hub := telemetry.NewHub[WatchUpdate]()
 	stop := make(chan struct{})
 	go func() {
 		for {
@@ -248,10 +216,8 @@ func runTCSP() error {
 				continue
 			}
 			reports.Inc()
-			hub.publish(WatchUpdate{
-				ISP: batch.isp, Devices: devices,
-				Reports: reports.Value(), Drops: ingest.Dropped(),
-			})
+			u := WatchUpdate{ISP: batch.isp, Devices: devices, Reports: reports.Value(), Drops: ingest.Dropped()}
+			hub.Publish(func(seq uint64) WatchUpdate { u.Seq = seq; return u })
 		}
 	}()
 	defer close(stop)
@@ -297,7 +263,7 @@ func runTCSP() error {
 				}
 			}
 			watches.Inc()
-			return watchStream(hub, stop, p), nil
+			return ctl.StreamFunc(hub.Stream(p.AfterSeq, p.Count, stop)), nil
 		case "stats":
 			return &tcspStats{
 				Registers: registers.Value(), Deploys: deploys.Value(),
@@ -330,34 +296,6 @@ func runTCSP() error {
 	printStats(fmt.Sprintf("registers=%d deploys=%d controls=%d reports=%d ingest_drops=%d",
 		registers.Value(), deploys.Value(), controls.Value(), reports.Value(), ingest.Dropped()))
 	return nil
-}
-
-// watchStream pushes hub updates to one subscriber.
-func watchStream(hub *watchHub, stop <-chan struct{}, p WatchParams) ctl.StreamFunc {
-	return func(push func(v any) error) error {
-		id, q := hub.subscribe()
-		defer hub.unsubscribe(id)
-		sent := 0
-		for p.Count <= 0 || sent < p.Count {
-			u, ok := q.Pop()
-			if !ok {
-				select {
-				case <-q.Wait():
-					continue
-				case <-stop:
-					return nil
-				}
-			}
-			if u.Seq <= p.AfterSeq {
-				continue
-			}
-			if err := push(u); err != nil {
-				return err
-			}
-			sent++
-		}
-		return nil
-	}
 }
 
 // nmsStats is the NMS "stats" method reply.

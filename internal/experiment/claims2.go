@@ -75,7 +75,8 @@ func runE5(opts Options) (*metrics.Table, error) {
 		}
 		// Each point is the fastest of three passes over the same packets:
 		// scheduling noise only ever slows a pass down, so the minimum is
-		// the stable estimate (the same min-fold cmd/benchjson applies).
+		// the stable estimate (perfbench's run_s takes the fastest repetition
+		// for the same reason).
 		var wall time.Duration
 		for pass := 0; pass < 3; pass++ {
 			start := time.Now()

@@ -122,81 +122,6 @@ type WatchUpdate struct {
 // envelope, so ctl.Subscriber can resume and dedupe across reconnects.
 func (u WatchUpdate) StreamSeq() uint64 { return u.Seq }
 
-// watchRing is how many recent updates the hub retains for replay to
-// reconnecting subscribers.
-const watchRing = 64
-
-// hub fans telemetry updates out to watch subscribers, each behind its own
-// bounded drop-oldest queue so one stalled watcher cannot block the tick.
-// Every update carries a hub-global sequence number and the last watchRing
-// updates are retained, so a subscriber that reconnects with AfterSeq set
-// gets the gap replayed instead of silently missing ticks.
-type hub struct {
-	mu      sync.Mutex
-	subs    map[int]*telemetry.Queue[WatchUpdate]
-	nextID  int
-	seq     uint64
-	ring    []WatchUpdate // retained tail, oldest first
-	retired uint64        // drops accumulated by unsubscribed queues
-}
-
-func newHub() *hub { return &hub{subs: make(map[int]*telemetry.Queue[WatchUpdate])} }
-
-func (h *hub) subscribe(afterSeq uint64) (int, *telemetry.Queue[WatchUpdate]) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.nextID++
-	// Queue capacity covers a full ring replay plus a burst of fresh
-	// ticks; replay happens under the hub lock, so no published update can
-	// interleave with (or duplicate) the replayed tail.
-	q := telemetry.NewQueue[WatchUpdate](watchRing + 16)
-	if afterSeq > 0 {
-		for _, u := range h.ring {
-			if u.Seq > afterSeq {
-				q.Push(u)
-			}
-		}
-	}
-	h.subs[h.nextID] = q
-	return h.nextID, q
-}
-
-func (h *hub) unsubscribe(id int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if q, ok := h.subs[id]; ok {
-		h.retired += q.Dropped()
-		delete(h.subs, id)
-	}
-}
-
-func (h *hub) publish(u WatchUpdate) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seq++
-	u.Seq = h.seq
-	if len(h.ring) == watchRing {
-		copy(h.ring, h.ring[1:])
-		h.ring = h.ring[:watchRing-1]
-	}
-	h.ring = append(h.ring, u)
-	for _, q := range h.subs {
-		q.Push(u)
-	}
-}
-
-// dropped totals drop-oldest evictions across all watch queues, live and
-// retired — the counter the telemetry store exports as queue="watch".
-func (h *hub) dropped() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	total := h.retired
-	for _, q := range h.subs {
-		total += q.Dropped()
-	}
-	return total
-}
-
 // DemoOwner is the pre-allocated demo user every live server recognizes.
 const DemoOwner = "demo"
 
@@ -208,7 +133,7 @@ type Server struct {
 	network *netsim.Network
 	tc      *tcsp.TCSP
 	ctrl    *defense.Controller
-	hub     *hub
+	hub     *telemetry.Hub[WatchUpdate]
 
 	victim *netsim.Host
 	start  time.Time
@@ -232,7 +157,7 @@ type Server struct {
 // Start builds the world and brings every listener and goroutine up.
 func Start(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	s := &Server{cfg: cfg, hub: newHub(), stop: make(chan struct{})}
+	s := &Server{cfg: cfg, hub: telemetry.NewHub[WatchUpdate](), stop: make(chan struct{})}
 	if err := s.build(); err != nil {
 		s.Close()
 		return nil, err
@@ -328,7 +253,7 @@ func (s *Server) build() error {
 		return err
 	}
 	// Watch-fanout evictions surface on /metrics as queue="watch".
-	tc.Telemetry().RegisterQueueDrops("watch", s.hub.dropped)
+	tc.Telemetry().RegisterQueueDrops("watch", s.hub.Dropped)
 
 	// Telemetry pipeline: a simulation ticker (identical mechanics to the
 	// deterministic experiments — live, simulated time just happens to
@@ -360,10 +285,11 @@ func (s *Server) build() error {
 		st := ctrl.Status()
 		store := tc.Telemetry()
 		offered, discarded := store.Rates(DemoOwner, 1)
-		s.hub.publish(WatchUpdate{
+		u := WatchUpdate{
 			AtNanos: int64(now), OfferedPPS: offered, DiscardedPPS: discarded,
 			Devices: len(store.Devices()), Mitigating: st.Mitigating, Score: st.Score,
-		})
+		}
+		s.hub.Publish(func(seq uint64) WatchUpdate { u.Seq = seq; return u })
 	})
 
 	// Background traffic toward a host in the demo block.
@@ -434,37 +360,12 @@ func (s *Server) handler(base ctl.Handler) ctl.Handler {
 					return nil, fmt.Errorf("watch: %w", err)
 				}
 			}
-			return s.watchStream(p), nil
+			return ctl.StreamFunc(s.hub.Stream(p.AfterSeq, p.Count, s.stop)), nil
 		case "defense":
 			return s.ctrl.Status(), nil
 		default:
 			return base(method, payload)
 		}
-	}
-}
-
-// watchStream subscribes a connection to the telemetry hub.
-func (s *Server) watchStream(p WatchParams) ctl.StreamFunc {
-	return func(push func(v any) error) error {
-		id, q := s.hub.subscribe(p.AfterSeq)
-		defer s.hub.unsubscribe(id)
-		sent := 0
-		for p.Count <= 0 || sent < p.Count {
-			u, ok := q.Pop()
-			if !ok {
-				select {
-				case <-q.Wait():
-					continue
-				case <-s.stop:
-					return nil
-				}
-			}
-			if err := push(u); err != nil {
-				return err // subscriber gone; ends the stream
-			}
-			sent++
-		}
-		return nil
 	}
 }
 

@@ -75,3 +75,115 @@ func (q *Queue[T]) Dropped() uint64 { return q.dropped.Value() }
 // Wait returns a channel that receives after a Push. One receive may cover
 // several pushes; consumers drain with Pop until it reports empty.
 func (q *Queue[T]) Wait() <-chan struct{} { return q.notify }
+
+// hubRing is how many recent updates a Hub retains for replay to
+// reconnecting subscribers.
+const hubRing = 64
+
+// Hub fans updates out to stream subscribers, each behind its own bounded
+// drop-oldest Queue so one stalled subscriber cannot block the publisher.
+// Every update carries a hub-global sequence number and the last hubRing
+// updates are retained, so a subscriber that reconnects after a sequence
+// number it already consumed gets the gap replayed instead of silently
+// missing updates.
+type Hub[T any] struct {
+	mu      sync.Mutex
+	subs    map[int]*Queue[T]
+	nextID  int
+	seq     uint64
+	ring    []hubEntry[T] // retained tail, oldest first
+	retired uint64        // drops accumulated by unsubscribed queues
+}
+
+type hubEntry[T any] struct {
+	seq uint64
+	v   T
+}
+
+// NewHub returns a hub with no subscribers.
+func NewHub[T any]() *Hub[T] { return &Hub[T]{subs: make(map[int]*Queue[T])} }
+
+// Publish hands every subscriber the update stamp returns for the next
+// sequence number. stamp runs under the hub lock: it should only set the
+// number on an update built beforehand.
+func (h *Hub[T]) Publish(stamp func(seq uint64) T) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.seq++
+	v := stamp(h.seq)
+	if len(h.ring) == hubRing {
+		copy(h.ring, h.ring[1:])
+		h.ring = h.ring[:hubRing-1]
+	}
+	h.ring = append(h.ring, hubEntry[T]{h.seq, v})
+	for _, q := range h.subs {
+		q.Push(v)
+	}
+}
+
+func (h *Hub[T]) subscribe(afterSeq uint64) (int, *Queue[T]) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.nextID++
+	// Queue capacity covers a full ring replay plus a burst of fresh
+	// updates; replay happens under the hub lock, so no published update
+	// can interleave with (or duplicate) the replayed tail.
+	q := NewQueue[T](hubRing + 16)
+	if afterSeq > 0 {
+		for _, e := range h.ring {
+			if e.seq > afterSeq {
+				q.Push(e.v)
+			}
+		}
+	}
+	h.subs[h.nextID] = q
+	return h.nextID, q
+}
+
+func (h *Hub[T]) unsubscribe(id int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if q, ok := h.subs[id]; ok {
+		h.retired += q.Dropped()
+		delete(h.subs, id)
+	}
+}
+
+// Dropped totals drop-oldest evictions across all subscriber queues, live
+// and retired.
+func (h *Hub[T]) Dropped() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	total := h.retired
+	for _, q := range h.subs {
+		total += q.Dropped()
+	}
+	return total
+}
+
+// Stream returns a server-push stream body (the shape of ctl.StreamFunc)
+// for one subscriber: retained updates after afterSeq (0 = none) first,
+// then new ones, until count updates were pushed (count <= 0: no limit),
+// push fails because the subscriber is gone, or stop closes.
+func (h *Hub[T]) Stream(afterSeq uint64, count int, stop <-chan struct{}) func(push func(v any) error) error {
+	return func(push func(v any) error) error {
+		id, q := h.subscribe(afterSeq)
+		defer h.unsubscribe(id)
+		for sent := 0; count <= 0 || sent < count; {
+			v, ok := q.Pop()
+			if !ok {
+				select {
+				case <-q.Wait():
+					continue
+				case <-stop:
+					return nil
+				}
+			}
+			if err := push(v); err != nil {
+				return err
+			}
+			sent++
+		}
+		return nil
+	}
+}

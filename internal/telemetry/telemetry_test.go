@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -324,5 +325,64 @@ func TestWritePromQueueDrops(t *testing.T) {
 	}
 	if !strings.Contains(b2.String(), `dtc_telemetry_queue_dropped_total{queue="ingest"} 9`) {
 		t.Error("re-registration did not replace the callback")
+	}
+}
+
+type hubUpdate struct{ Seq uint64 }
+
+func TestHubReplayAfterSeq(t *testing.T) {
+	h := NewHub[hubUpdate]()
+	for i := 0; i < 100; i++ {
+		h.Publish(func(seq uint64) hubUpdate { return hubUpdate{seq} })
+	}
+	recv := func(afterSeq uint64, count int) []uint64 {
+		var got []uint64
+		err := h.Stream(afterSeq, count, nil)(func(v any) error {
+			got = append(got, v.(hubUpdate).Seq)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := recv(95, 5); !reflect.DeepEqual(got, []uint64{96, 97, 98, 99, 100}) {
+		t.Fatalf("resume after 95 = %v", got)
+	}
+	// Only the last hubRing updates are retained: an older resume point
+	// replays from the ring's oldest entry.
+	if got := recv(1, 2); !reflect.DeepEqual(got, []uint64{100 - hubRing + 1, 100 - hubRing + 2}) {
+		t.Fatalf("resume after 1 = %v", got)
+	}
+}
+
+func TestHubStreamEnds(t *testing.T) {
+	h := NewHub[hubUpdate]()
+	stop := make(chan struct{})
+	close(stop)
+	if err := h.Stream(0, 0, stop)(func(any) error { return nil }); err != nil {
+		t.Fatalf("stopped stream = %v", err)
+	}
+	// A subscriber that has gone away ends the stream with its error.
+	gone := errors.New("gone")
+	h.Publish(func(seq uint64) hubUpdate { return hubUpdate{seq} })
+	h.Publish(func(seq uint64) hubUpdate { return hubUpdate{seq} })
+	if err := h.Stream(1, 0, nil)(func(any) error { return gone }); err != gone {
+		t.Fatalf("push failure = %v, want %v", err, gone)
+	}
+}
+
+func TestHubCountsDropsOfRetiredSubscribers(t *testing.T) {
+	h := NewHub[hubUpdate]()
+	id, _ := h.subscribe(0)
+	for i := 0; i < hubRing+16+20; i++ {
+		h.Publish(func(seq uint64) hubUpdate { return hubUpdate{seq} })
+	}
+	if got := h.Dropped(); got != 20 {
+		t.Fatalf("Dropped = %d, want 20", got)
+	}
+	h.unsubscribe(id)
+	if got := h.Dropped(); got != 20 {
+		t.Fatalf("Dropped after unsubscribe = %d, want 20", got)
 	}
 }
