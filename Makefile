@@ -68,8 +68,10 @@ deploy-smoke:
 	$(GO) test -run 'TestDeploySmoke|TestDeployPortCollision' -count=1 ./internal/deploy
 
 # Short fuzz pass over the wire-format and parser fuzz targets, routing
-# after link cuts against a fresh cache, the event core against a container/heap reference, random
-# hostile service graphs on the device (§4.5 invariants, batch == single),
+# after link cuts against a fresh cache, restricted-view rows (the
+# early-stopped Dijkstra) against full trees, the event core against a
+# container/heap reference, random hostile service graphs on the device
+# (§4.5 invariants, batch == single),
 # the anti-replay window against a map-based specification, and the flow
 # walker against its path-materializing oracle.
 fuzz:
@@ -80,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzEnvelopeDecode -fuzztime=10s ./internal/ctl/
 	$(GO) test -fuzz=FuzzCutsMatchFresh -fuzztime=10s ./internal/routing/
+	$(GO) test -fuzz=FuzzViewRowsMatchFullTrees -fuzztime=10s ./internal/routing/
 	$(GO) test -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim/
 	$(GO) test -fuzz=FuzzDeviceGraphs -fuzztime=10s ./internal/device/
 	$(GO) test -fuzz=FuzzReplayWindow -fuzztime=10s ./internal/auth/

@@ -476,7 +476,8 @@ func BenchmarkHybridMemory(b *testing.B) {
 // its event loop: prebuilding the full-size e15 cone's routing rows (239
 // cone nodes of the 18k-AS seed-42 graph) toward the first 1,024 client
 // ASes on a fresh routing cache, on one worker and on GOMAXPROCS workers.
-// Every row is one full Dijkstra run; ns/row is the per-row cost.
+// Every row is one Dijkstra run that stops once the row is decided, here
+// after ~5,900 of the graph's 18,000 pops; ns/row is the per-row cost.
 func BenchmarkConeViewRows(b *testing.B) {
 	g, err := topology.BarabasiAlbert(18000, 2, sim.NewRNG(42))
 	if err != nil {

@@ -150,12 +150,7 @@ type WatchUpdate struct {
 func (u WatchUpdate) StreamSeq() uint64 { return u.Seq }
 
 // WatchParams shapes a watch subscription.
-type WatchParams struct {
-	Count int `json:"count,omitempty"` // <=0 streams forever
-	// AfterSeq resumes after a hub sequence number already consumed:
-	// retained updates with Seq > AfterSeq replay first.
-	AfterSeq uint64 `json:"after_seq,omitempty"`
-}
+type WatchParams = telemetry.WatchParams
 
 // tcspStats is the "stats" method reply.
 type tcspStats struct {

@@ -97,15 +97,7 @@ func (c *Config) withDefaults() Config {
 }
 
 // WatchParams configures the "watch" stream method.
-type WatchParams struct {
-	// Count bounds the number of updates before the server ends the
-	// stream; 0 streams until the client disconnects.
-	Count int `json:"count,omitempty"`
-	// AfterSeq resumes the stream after a hub sequence number already
-	// consumed: retained updates with Seq > AfterSeq replay immediately.
-	// 0 (a fresh subscriber) receives only new updates.
-	AfterSeq uint64 `json:"after_seq,omitempty"`
-}
+type WatchParams = telemetry.WatchParams
 
 // WatchUpdate is one telemetry-tick summary pushed to watch subscribers.
 type WatchUpdate struct {

@@ -32,7 +32,7 @@ func TestTreeToHitZeroAlloc(t *testing.T) {
 }
 
 // After warmup, Dijkstra builds into a reused tree allocate nothing: the
-// heap, done bitmap and tree arrays are all retained scratch.
+// heap and tree arrays are retained scratch.
 func TestBuildIntoZeroAllocSteadyState(t *testing.T) {
 	g, err := topology.BarabasiAlbert(500, 2, sim.NewRNG(2))
 	if err != nil {

@@ -11,15 +11,19 @@ import (
 // view: wadj[k] is the cost of the half-edge CSR.Adj[k], i.e. the weight
 // of edge (v, Adj[k]) for k in row v. Compiling the WeightFunc once per
 // topology snapshot moves the per-relaxation function call (and its
-// positivity check) out of the Dijkstra inner loop.
+// positivity check) out of the Dijkstra inner loop. wmin is the smallest
+// compiled weight (+Inf for an edgeless graph), the bound a restricted
+// build's early stop rests on.
 type compiled struct {
 	csr  *topology.CSR
 	wadj []float64
+	wmin float64
 }
 
 // refresh recompiles the snapshot if the graph's CSR view has changed
-// (edge added or removed). Returns an error on the first non-positive
-// weight, identifying the offending edge like the original lazy check did.
+// (edge added or removed). Returns an error on the first weight that is
+// not positive (NaN included), identifying the offending edge like the
+// original lazy check did.
 func (cw *compiled) refresh(g *topology.Graph, w WeightFunc) error {
 	csr := g.CSR()
 	if cw.csr == csr {
@@ -29,18 +33,20 @@ func (cw *compiled) refresh(g *topology.Graph, w WeightFunc) error {
 		cw.wadj = make([]float64, len(csr.Adj))
 	}
 	wadj := cw.wadj[:len(csr.Adj)]
+	wmin := math.Inf(1)
 	n := csr.NumNodes()
 	for v := 0; v < n; v++ {
 		base := csr.Off[v]
 		for k, u := range csr.Row(v) {
 			c := w(v, int(u))
-			if c <= 0 {
+			if !(c > 0) {
 				return fmt.Errorf("routing: non-positive weight %v on edge (%d,%d)", c, v, u)
 			}
 			wadj[int(base)+k] = c
+			wmin = min(wmin, c)
 		}
 	}
-	cw.csr, cw.wadj = csr, wadj
+	cw.csr, cw.wadj, cw.wmin = csr, wadj, wmin
 	return nil
 }
 
@@ -69,10 +75,11 @@ type Builder struct {
 	cw compiled
 
 	heap []hNode
-	done []bool
 
 	// scratch is the tree a restricted view builds into and copies its
-	// rows out of (view.go); it is never handed out.
+	// rows out of (view.go). It is never handed out: a restricted build
+	// stops early, so the scratch tree is partial, exact only in the
+	// set's entries and in feasibleVia's verdicts on its half-edges.
 	scratch Tree
 }
 
@@ -136,6 +143,28 @@ func grow(t *Tree, n int) {
 // BuildInto runs Dijkstra from dst into t, reusing t's arrays and the
 // builder's scratch. Zero allocations steady-state.
 func (b *Builder) BuildInto(t *Tree, dst int) error {
+	return b.build(t, dst, nil, nil)
+}
+
+// build is the one Dijkstra loop. With a nil pos it builds the full tree.
+// With a node set (nodes, and pos mapping a node to its index in nodes or
+// -1) it stops as soon as nothing a restricted view reads can change: the
+// Next and Dist of every set node, and feasibleVia's verdict on every
+// half-edge into a set node. The tree is then partial — entries off the
+// set may be tentative or unset — and only those reads are exact.
+//
+// The stop rule. Let h be the distance at the heap top, a lower bound on
+// every later pop, so every later relaxation offers at least h+wmin
+// (rounding is monotone). Once every set node is reached, let D be the
+// largest set-node distance. If D <= h+wmin no set node can strictly
+// improve, so its Next and Dist are final. A node whose tentative
+// distance is below h+wmin is final too; any other neighbour u of a set
+// node a ends, in the full build, at a distance of at least h+wmin (or
+// unreachable), and w(u,a) >= wmin, so feasibleVia's slack
+// Dist[u]+w-Dist[a] is at least (h+wmin)+wmin-D in both builds. Stopping
+// when that is >= feasibleVia's eps makes the half-edge infeasible in
+// both. Under hop count the build stops once the last set node is reached.
+func (b *Builder) build(t *Tree, dst int, nodes, pos []int32) error {
 	if err := b.cw.refresh(b.g, b.w); err != nil {
 		return err
 	}
@@ -153,27 +182,49 @@ func (b *Builder) BuildInto(t *Tree, dst int) error {
 	t.Next[dst] = int32(dst)
 	t.Dist[dst] = 0
 
-	if cap(b.done) < n {
-		b.done = make([]bool, n)
+	// left counts set nodes not yet reached; D bounds their largest
+	// distance from above and is exact unless dirty (the node holding it
+	// improved since it was computed).
+	left, D, dirty := len(nodes), 0.0, false
+	if pos != nil && pos[dst] >= 0 {
+		left--
 	}
-	done := b.done[:n]
-	for i := range done {
-		done[i] = false
-	}
+	wmin := b.cw.wmin
 	b.heap = b.heap[:0]
 	b.hpush(hNode{dist: 0, node: int32(dst)})
 	csr, wadj := b.cw.csr, b.cw.wadj
 	for len(b.heap) > 0 {
+		if pos != nil && left == 0 {
+			if dirty {
+				D, dirty = 0, false
+				for _, a := range nodes {
+					D = max(D, t.Dist[a])
+				}
+			}
+			if x := b.heap[0].dist + wmin; D <= x && x+wmin-D >= feasibleEps {
+				break
+			}
+		}
 		it := b.hpop()
 		v := it.node
-		if done[v] {
+		// A node is pushed only on a strict improvement, so an entry is
+		// stale exactly when a shorter one for its node was pushed (and,
+		// being shorter, popped) since.
+		if it.dist > t.Dist[v] {
 			continue
 		}
-		done[v] = true
 		base := csr.Off[v]
-		dv := t.Dist[v]
+		dv := it.dist
 		for k, u := range csr.Row(int(v)) {
 			if nd := dv + wadj[int(base)+k]; nd < t.Dist[u] {
+				if pos != nil && pos[u] >= 0 {
+					if old := t.Dist[u]; old == inf {
+						left--
+						D = max(D, nd)
+					} else if old == D {
+						dirty = true
+					}
+				}
 				t.Dist[u] = nd
 				// Traffic from u toward dst goes via v.
 				t.Next[u] = v

@@ -98,7 +98,7 @@ func (t *Tree) Hops(src int) int {
 // CacheStats is a snapshot of a routing cache's behaviour counters.
 type CacheStats struct {
 	Hits          uint64 // TreeTo/NextHop served from cache
-	Builds        uint64 // full Dijkstra runs (cache misses)
+	Builds        uint64 // Dijkstra runs (cache misses), view rows included
 	Invalidations uint64 // whole-cache invalidations
 }
 
@@ -157,7 +157,10 @@ func feasibleVia(tr *Tree, at, from int, w float64) bool {
 	if tr.Next[at] == NoRoute || tr.Next[from] == NoRoute {
 		return false
 	}
-	const eps = 1e-9
 	d := tr.Dist[from] + w - tr.Dist[at]
-	return d > -eps && d < eps
+	return d > -feasibleEps && d < feasibleEps
 }
+
+// feasibleEps is feasibleVia's tolerance: a half-edge is on a shortest
+// path when its slack is within it.
+const feasibleEps = 1e-9

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,9 @@ func TestInvalidInputs(t *testing.T) {
 	}
 	if _, err := BuildTree(g, 0, func(a, b int) float64 { return -1 }); err == nil {
 		t.Error("negative weight accepted")
+	}
+	if _, err := BuildTree(g, 0, func(a, b int) float64 { return math.NaN() }); err == nil {
+		t.Error("NaN weight accepted")
 	}
 }
 

@@ -15,9 +15,13 @@ import (
 // against 216 KB for a full tree over 18k nodes.
 //
 // A row is filled from the parent's cached tree when there is one, and
-// otherwise from a full Dijkstra run into a pooled builder's scratch tree
-// (counted in the parent's builds); the bits are feasible()'s own verdicts
-// on that tree. Either way every answer equals the parent's, bit for bit.
+// otherwise from a Dijkstra run into a pooled builder's scratch tree
+// (counted in the parent's builds) that stops as soon as the row is
+// decided (Builder.build): for the e15 cone after about a third of the
+// graph's pops. The stopped tree is partial, but every entry a row reads
+// — the set's next hops and feasible()'s verdicts on its half-edges —
+// equals the full tree's. Either way every answer equals the parent's,
+// bit for bit.
 // Rows are published by CAS like Shared's slots, so concurrent readers are
 // safe; the parent's Invalidate drops them (a quiescent point), and they
 // are rebuilt on demand.
@@ -136,7 +140,8 @@ func (v *view) row(dst int) *viewRow {
 }
 
 // build fills dst's row from the parent's cached tree if there is one,
-// else from a scratch Dijkstra run, and publishes it by CAS.
+// else from a scratch Dijkstra run restricted to the set, and publishes it
+// by CAS.
 func (v *view) build(dst int) (*viewRow, error) {
 	s := v.s
 	r := &viewRow{next: make([]int32, len(v.nodes)), ok: make([]uint64, (len(v.rev)+63)/64)}
@@ -144,7 +149,7 @@ func (v *view) build(dst int) (*viewRow, error) {
 		v.fill(r, tr)
 	} else {
 		b := s.getBuilder()
-		err := b.BuildInto(&b.scratch, dst)
+		err := b.build(&b.scratch, dst, v.nodes, v.pos)
 		if err == nil {
 			v.fill(r, &b.scratch)
 		}

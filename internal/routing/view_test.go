@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -341,4 +342,162 @@ func checkPrebuildMatchesLazy(t *testing.T, w WeightFunc, workers int) {
 	lazy.Invalidate()
 	vw.Invalidate()
 	prebuild("after Invalidate", g.Len())
+}
+
+// stopWeight returns one of the weight families the early-stop rule must
+// be exact under: 0 hop count, 1 intWeight's tie-heavy integers, 2 random
+// fractions in [1, 2) (a large smallest weight, so a set node's distance
+// can still fall after it exceeds h+wmin), 3 random fractions in
+// [0.05, 2) with about a quarter of the edges weighted below feasibleVia's
+// eps. Weights are a symmetric hash of the edge, so they are pure.
+func stopWeight(kind int, seed uint64) WeightFunc {
+	frac := func(a, b int) float64 {
+		if a > b {
+			a, b = b, a
+		}
+		x := seed ^ uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)*0xc2b2ae3d27d4eb4f
+		x ^= x >> 31
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 29
+		return float64(x>>11) / (1 << 53)
+	}
+	switch kind % 4 {
+	case 1:
+		return intWeight
+	case 2:
+		return func(a, b int) float64 { return 1 + frac(a, b) }
+	case 3:
+		return func(a, b int) float64 {
+			f := frac(a, b)
+			if f < 0.25 {
+				return 1e-12 + 4e-9*f
+			}
+			return 0.05 + 1.95*f
+		}
+	}
+	return nil
+}
+
+// stopSet returns one of the node sets a restricted view serves: 0 a
+// cone (the radius-r hop ball around a low-degree node plus the three
+// largest hubs), 1 a single node, 2 every fifth node. Every set is
+// checked against every destination, so each also holds dst for its own
+// members' rows.
+func stopSet(g *topology.Graph, kind, r int, rng *sim.RNG) []int {
+	n := g.Len()
+	switch kind % 3 {
+	case 1:
+		return []int{rng.Intn(n)}
+	case 2:
+		var set []int
+		for v := rng.Intn(min(5, n)); v < n; v += 5 {
+			set = append(set, v)
+		}
+		return set
+	}
+	byDeg := g.NodesByDegree()
+	center := byDeg[n-1-rng.Intn(n/2)]
+	hop := map[int]int{center: 0}
+	set := []int{center}
+	for i := 0; i < len(set); i++ {
+		v := set[i]
+		if hop[v] == r {
+			continue
+		}
+		for _, u := range g.Neighbors(v) {
+			if _, ok := hop[u]; !ok {
+				hop[u] = hop[v] + 1
+				set = append(set, u)
+			}
+		}
+	}
+	return append(set, byDeg[:3]...)
+}
+
+// runViewRowsTrial builds every row of a restricted view into scratch —
+// the view's parent caches no trees, so no row is a copy — and checks
+// each against a separate fresh cache's full trees.
+func runViewRowsTrial(t *testing.T, seed uint64, nRaw uint8, transitStub bool, setKind, weightKind, radius uint8) {
+	rng := sim.NewRNG(seed)
+	var g *topology.Graph
+	var err error
+	if transitStub {
+		g, err = topology.TransitStub(2+int(nRaw)%12, 1+int(nRaw)/12%12, 0.3, rng)
+	} else {
+		g, err = topology.BarabasiAlbert(8+int(nRaw), 2, rng)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := stopWeight(int(weightKind), seed)
+	set := stopSet(g, int(setKind), 1+int(radius)%3, rng)
+	label := fmt.Sprintf("seed %d n %d transitStub %v set %d weights %d", seed, g.Len(), transitStub, setKind%3, weightKind%4)
+	checkViewMatches(t, label, g, NewShared(g, w), NewShared(g, w).View(set), set)
+}
+
+// FuzzViewRowsMatchFullTrees holds the restricted build's early stop to
+// the full build on random power-law and transit-stub graphs, cone,
+// single-node and scattered sets, and hop-count, integer, fractional and
+// sub-eps weights: every next hop and every uRPF verdict of every row
+// equals the full tree's.
+func FuzzViewRowsMatchFullTrees(f *testing.F) {
+	f.Add(uint64(1), uint8(60), false, uint8(0), uint8(0), uint8(1))
+	f.Add(uint64(2), uint8(90), true, uint8(0), uint8(3), uint8(0))
+	f.Add(uint64(3), uint8(30), false, uint8(1), uint8(2), uint8(2))
+	f.Add(uint64(4), uint8(200), false, uint8(2), uint8(1), uint8(0))
+	f.Fuzz(runViewRowsTrial)
+}
+
+// TestViewRowsMatchFullTrees is the fuzz target's deterministic sweep:
+// every graph, set and weight family on a few seeds.
+func TestViewRowsMatchFullTrees(t *testing.T) {
+	for seed := uint64(0); seed < 3; seed++ {
+		for _, ts := range []bool{false, true} {
+			for setKind := uint8(0); setKind < 3; setKind++ {
+				for wk := uint8(0); wk < 4; wk++ {
+					runViewRowsTrial(t, seed*7+uint64(wk), uint8(40+50*seed), ts, setKind, wk, uint8(seed))
+				}
+			}
+		}
+	}
+}
+
+// TestViewBuildStopsEarly checks that the early stop fires: a restricted
+// build leaves entries on the heap (a full build drains it) and nodes
+// beyond the set unreached, for a cone on a power-law graph and for a
+// single node far down a line from the destination.
+func TestViewBuildStopsEarly(t *testing.T) {
+	g, err := topology.BarabasiAlbert(2000, 2, sim.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wk := 0; wk < 4; wk++ {
+		set := stopSet(g, 0, 2, sim.NewRNG(uint64(wk)))
+		stub := g.Stubs()[wk]
+		w := stopWeight(wk, 3)
+		vw := NewShared(g, w).View(set).(*view)
+		b := NewBuilder(g, w)
+		if err := b.build(&b.scratch, stub, vw.nodes, vw.pos); err != nil {
+			t.Fatal(err)
+		}
+		reached := 0
+		for _, d := range b.scratch.Dist {
+			if !math.IsInf(d, 1) {
+				reached++
+			}
+		}
+		if len(b.heap) == 0 || reached == g.Len() {
+			t.Errorf("weights %d: cone build toward %d ran to the end (%d of %d nodes reached)", wk, stub, reached, g.Len())
+		}
+	}
+
+	line := topology.Line(50)
+	vw := NewShared(line, nil).View([]int{45}).(*view)
+	b := NewBuilder(line, nil)
+	if err := b.build(&b.scratch, 0, vw.nodes, vw.pos); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.heap) == 0 || b.scratch.Next[45] != 44 || b.scratch.Next[47] != NoRoute {
+		t.Errorf("line build did not stop at node 45: heap %d, Next[45] %d, Next[47] %d", len(b.heap), b.scratch.Next[45], b.scratch.Next[47])
+	}
 }

@@ -161,6 +161,19 @@ func (h *Hub[T]) Dropped() uint64 {
 	return total
 }
 
+// WatchParams are a watch subscription's parameters as they cross the
+// wire, the arguments of Hub.Stream: the tcsd live server and a deployed
+// TCSP both take them for their "watch" stream method.
+type WatchParams struct {
+	// Count bounds the number of updates before the server ends the
+	// stream; <= 0 streams until the client disconnects.
+	Count int `json:"count,omitempty"`
+	// AfterSeq resumes the stream after a hub sequence number already
+	// consumed: retained updates with Seq > AfterSeq replay immediately.
+	// 0 (a fresh subscriber) receives only new updates.
+	AfterSeq uint64 `json:"after_seq,omitempty"`
+}
+
 // Stream returns a server-push stream body (the shape of ctl.StreamFunc)
 // for one subscriber: retained updates after afterSeq (0 = none) first,
 // then new ones, until count updates were pushed (count <= 0: no limit),
